@@ -3,15 +3,16 @@
 The query scheduler's stages are embarrassingly parallel across nodes:
 every task touches only its own node's shards, clock, CPU and network
 (remote shuffle flushes credit the peer's *stats*, never its clock), and
-the PR-1 storage path is thread-safe.  Running one thread per node
+the storage path is thread-safe.  Running one thread per node
 therefore charges exactly the simulated costs of the serial loop — each
 node's charge sequence is untouched, only the wall-clock interleaving
-changes — which is what the golden equivalence suite pins down.
+changes — which is what the golden suite pins down.
 
-The executor degrades to the serial loop when any node has an enabled
-fault injector: rate-based faults draw from one shared seeded RNG whose
-draw order is defined by the *global* event order, which threads would
-scramble.
+The executor runs the serial loop, in node order, when any node has an
+enabled fault injector: rate-based faults draw from one shared seeded RNG
+whose draw order is defined by the *global* event order, which threads
+would scramble.  This is the only place the query engine changes its
+behaviour under faults.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ class StageExecutor:
     off that node's simulated clock.
     """
 
-    def __init__(self, cluster: "PangeaCluster", parallel: bool = True) -> None:
+    def __init__(self, cluster: "PangeaCluster") -> None:
         self.cluster = cluster
-        self.parallel = parallel
         #: Whether the most recent :meth:`run` used threads.
         self.last_parallel = False
 
@@ -48,7 +48,7 @@ class StageExecutor:
 
     def run(self, stage: str, tasks: dict) -> dict:
         order = sorted(tasks)
-        use_threads = self.parallel and len(order) > 1 and not self._faults_active()
+        use_threads = len(order) > 1 and not self._faults_active()
         self.last_parallel = use_threads
         if not use_threads:
             return {

@@ -1,17 +1,17 @@
 """Batch-at-a-time kernels for the query data plane.
 
-The vectorized engine (``QueryScheduler(vectorized=True)``) processes
-records in chunks instead of one Python object at a time.  Every kernel in
-this module charges the *same* simulated costs as the record-at-a-time
-path it replaces — the same floating-point additions, in the same order,
-against the same per-node clocks — so the two engines are bit-identical
-in simulated time and differ only in wall-clock speed.  The equivalence
-arguments live next to each kernel; the golden suite
-(``tests/test_query_golden.py``) enforces them end to end.
+The query scheduler processes records in chunks instead of one Python
+object at a time.  Every kernel in this module charges the simulated
+costs of a record-at-a-time loop — the same floating-point additions, in
+the same order, against the same per-node clocks — so batching changes
+only wall-clock speed.  The argument for each kernel lives next to it;
+``tests/test_query_golden.py`` checks the whole engine against results
+captured from the record-at-a-time engine, and the kernel tests check
+``BatchStepRunner`` against :func:`repro.query.pipeline.run_steps`.
 
 The batched kernels assume the step/key/merge functions are pure (the
 same assumption the cost model already makes): a batch applies one step
-to every record before the next step, where the record loop finished one
+to every record before the next step, where a record loop finishes one
 record before starting the next.  Both orders yield the same output
 sequence because every step is element-wise and order-preserving.
 """
@@ -96,10 +96,9 @@ class BatchStepRunner:
     instead of mid-chunk visits the same final value.)
     """
 
-    def __init__(self, node: "WorkerNode", steps: list, workers: int = 1) -> None:
+    def __init__(self, node: "WorkerNode", steps: list) -> None:
         self.node = node
         self.steps = steps
-        self.workers = workers
         self._units = max(1, len(steps))
         self._count = 0
         self._finished = False
@@ -135,7 +134,7 @@ class BatchStepRunner:
         self._count += len(records)
         cpu = self.node.cpu
         for _ in range(self._count // 1024 - before // 1024):
-            cpu.per_object(1024 * self._units, workers=self.workers)
+            cpu.per_object(1024 * self._units)
         return data
 
     def finish(self) -> None:
@@ -143,9 +142,7 @@ class BatchStepRunner:
         if self._finished:
             return
         self._finished = True
-        self.node.cpu.per_object(
-            (self._count % 1024) * self._units, workers=self.workers
-        )
+        self.node.cpu.per_object((self._count % 1024) * self._units)
 
 
 def build_hash_table(records, key_fn) -> dict:
@@ -163,18 +160,18 @@ def build_hash_table(records, key_fn) -> dict:
 
 
 def build_batch(records, key_fn, node: "WorkerNode") -> dict:
-    """Batched hash-join build: one ``per_object(n, factor=1.5)`` charge,
-    exactly the call the record-at-a-time ``_build_table`` makes."""
+    """Batched hash-join build: one ``per_object(n, factor=1.5)`` charge
+    for the whole build side."""
     table = build_hash_table(records, key_fn)
     node.cpu.per_object(len(records), factor=1.5)
     return table
 
 
 def probe_batch(join: "JoinNode", left_records, table: dict, node: "WorkerNode") -> list:
-    """Batched hash-join probe with the record path's semantics and charge.
+    """Batched hash-join probe for inner/left_semi/left_anti/left_outer.
 
     Emits matches in probe order (every strategy's output order), then
-    charges the same single ``per_object(count, factor=2.0)`` call.
+    charges one ``per_object(count, factor=2.0)`` call for the probe side.
     """
     get = table.get
     left_key = join.left_key

@@ -43,7 +43,7 @@ def run_steps(
     node.cpu.per_object((count % 1024) * max(1, len(steps)), workers=workers)
 
 
-def scan_shard_records(shard, workers: int = 1) -> typing.Iterator[dict]:
+def scan_shard_records(shard) -> typing.Iterator[dict]:
     """Stream one shard's records through the sequential read service."""
     from repro.services.sequential import make_shard_iterators
 

@@ -14,16 +14,13 @@ The scheduler walks a logical plan and chooses physical strategies:
 * **Two-stage aggregation** — a local hash-service stage per node, then a
   partial shuffle and a final stage.
 
-Two engines execute the physical stages.  The default *vectorized* engine
-(``vectorized=True``) runs batch-at-a-time kernels from
-:mod:`repro.query.batch` and executes per-node stage work concurrently on
-real threads through :class:`repro.compute.stages.StageExecutor`.  The
-record-at-a-time path is retained as the oracle: both engines produce
-bit-identical results, simulated seconds, and strategy decisions (the
-golden suite in ``tests/test_query_golden.py`` enforces this).  Under an
-enabled fault injector the scheduler always takes the record-at-a-time
-path, because fault schedules are defined by the per-record global event
-order that batching would regroup.
+Every physical stage runs batch-at-a-time kernels from
+:mod:`repro.query.batch`, one task per node, through
+:class:`repro.compute.stages.StageExecutor` (on real threads, or serially
+in node order under an enabled fault injector).  The kernels charge the
+simulated costs of a record-at-a-time loop in record order, so results,
+simulated seconds, strategy decisions and fault schedules match that
+loop bit for bit; ``tests/test_query_golden.py`` pins them as data.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from dataclasses import dataclass, field
 
 from repro.compute.stages import StageExecutor
 from repro.query.batch import (
-    DEFAULT_BATCH_SIZE,
     BatchStepRunner,
     RecordBatch,
     build_batch,
@@ -53,7 +49,7 @@ from repro.query.operators import (
     ScanNode,
     peel_pipeline,
 )
-from repro.query.pipeline import run_steps, scan_shard_records
+from repro.query.pipeline import scan_shard_records
 from repro.sim.devices import MB
 from repro.util import stable_hash
 
@@ -72,7 +68,7 @@ class SchedulerMetrics:
     replica_substitutions: int = 0
     local_agg_stages: int = 0
     shuffled_bytes: int = 0
-    #: Vectorized-engine counters (all zero on the record-at-a-time path).
+    #: Batch and stage counters.
     batches_processed: int = 0
     batch_records: int = 0
     stages_run: int = 0
@@ -94,7 +90,7 @@ class SchedulerMetrics:
         return self.stage_tasks / self.stages_run
 
     def decision_counters(self) -> dict:
-        """The strategy decisions both engines must agree on exactly."""
+        """The strategy decisions, which the golden suite pins exactly."""
         return {
             "copartitioned_joins": self.copartitioned_joins,
             "broadcast_joins": self.broadcast_joins,
@@ -129,16 +125,10 @@ class QueryScheduler:
         cluster: "PangeaCluster",
         broadcast_threshold: int = 64 * MB,
         object_bytes: int = 128,
-        vectorized: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch size must be positive")
         self.cluster = cluster
         self.broadcast_threshold = broadcast_threshold
         self.object_bytes = object_bytes
-        self.vectorized = vectorized
-        self.batch_size = batch_size
         self.metrics = SchedulerMetrics()
         self._executor = StageExecutor(cluster)
         self._temp_counter = 0
@@ -158,23 +148,8 @@ class QueryScheduler:
         return result.all_records()
 
     # ------------------------------------------------------------------
-    # engine selection and stage bookkeeping
+    # stage bookkeeping
     # ------------------------------------------------------------------
-
-    def _use_batch(self) -> bool:
-        """Whether the vectorized kernels may run right now.
-
-        Rate-based faults draw from one shared seeded RNG whose draw
-        order is the per-record global event order, so an enabled
-        injector always routes execution through the oracle path.
-        """
-        if not self.vectorized:
-            return False
-        for node in self.cluster.nodes:
-            injector = getattr(node, "fault_injector", None)
-            if injector is not None and injector.enabled:
-                return False
-        return True
 
     def _run_stage(self, name: str, tasks: dict) -> dict:
         results = self._executor.run(name, tasks)
@@ -183,6 +158,14 @@ class QueryScheduler:
         if self._executor.last_parallel:
             self.metrics.parallel_stages += 1
         return results
+
+    def _run_batched_stage(self, name: str, tasks: dict) -> dict:
+        """Run a stage whose tasks return ``(output, batches, records_in)``."""
+        outputs: dict = {}
+        for node_id, (output, batches, fed) in self._run_stage(name, tasks).items():
+            outputs[node_id] = output
+            self._note_batches(batches, fed)
+        return outputs
 
     def _note_batches(self, batches: int, records: int) -> None:
         self.metrics.batches_processed += batches
@@ -209,29 +192,18 @@ class QueryScheduler:
     def _apply_steps(self, stage: StageResult, steps: list) -> StageResult:
         if not steps:
             return stage
-        out = StageResult()
-        if self._use_batch():
-            tasks = {
-                node_id: (
-                    lambda nid=node_id, recs=records: self._steps_task(nid, recs, steps)
-                )
-                for node_id, records in stage.per_node.items()
-            }
-            results = self._run_stage("pipeline", tasks)
-            for node_id in stage.per_node:
-                records, batches, fed = results[node_id]
-                out.per_node[node_id] = records
-                self._note_batches(batches, fed)
-        else:
-            for node_id, records in stage.per_node.items():
-                node = self.cluster.nodes[node_id]
-                out.per_node[node_id] = list(run_steps(iter(records), steps, node))
-        return out
+        tasks = {
+            node_id: (
+                lambda nid=node_id, recs=records: self._steps_task(nid, recs, steps)
+            )
+            for node_id, records in stage.per_node.items()
+        }
+        return StageResult(per_node=self._run_batched_stage("pipeline", tasks))
 
     def _steps_task(self, node_id: int, records: list, steps: list):
         runner = BatchStepRunner(self.cluster.nodes[node_id], steps)
         out: list = []
-        for chunk in iter_chunks(records, self.batch_size):
+        for chunk in iter_chunks(records):
             out.extend(runner.feed(chunk))
         runner.finish()
         return out, runner.batches, runner.records_in
@@ -256,26 +228,11 @@ class QueryScheduler:
         replica: "LocalitySet | None" = None,
     ) -> StageResult:
         dataset = replica or self.cluster.get_set(scan.set_name)
-        result = StageResult()
-        if self._use_batch():
-            tasks = {
-                node_id: (
-                    lambda shard=dataset.shards[node_id]: self._scan_task(shard, steps)
-                )
-                for node_id in sorted(dataset.shards)
-            }
-            results = self._run_stage("scan", tasks)
-            for node_id in sorted(dataset.shards):
-                records, batches, fed = results[node_id]
-                result.per_node[node_id] = records
-                self._note_batches(batches, fed)
-        else:
-            for node_id in sorted(dataset.shards):
-                shard = dataset.shards[node_id]
-                records = scan_shard_records(shard)
-                result.per_node[node_id] = list(
-                    run_steps(records, steps, shard.node)
-                )
+        tasks = {
+            node_id: (lambda shard=dataset.shards[node_id]: self._scan_task(shard, steps))
+            for node_id in sorted(dataset.shards)
+        }
+        result = StageResult(per_node=self._run_batched_stage("scan", tasks))
         self.cluster.barrier()
         return result
 
@@ -332,66 +289,26 @@ class QueryScheduler:
         self.metrics.replica_substitutions += 2
         return left_rep, right_rep
 
-    def _probe(self, join: JoinNode, left_records, table, node) -> list:
-        """Probe-side join semantics shared by every strategy."""
-        out: list = []
-        count = 0
-        for record in left_records:
-            count += 1
-            matches = table.get(join.left_key(record))
-            if join.how == "inner":
-                if matches:
-                    out.extend(join.merge(record, m) for m in matches)
-            elif join.how == "left_semi":
-                if matches:
-                    out.append(record)
-            elif join.how == "left_anti":
-                if not matches:
-                    out.append(record)
-            else:  # left_outer
-                if matches:
-                    out.extend(join.merge(record, m) for m in matches)
-                else:
-                    out.append(join.merge(record, None))
-        node.cpu.per_object(count, factor=2.0)
-        return out
-
-    @staticmethod
-    def _build_table(records, key_fn, node) -> dict:
-        table = build_hash_table(records, key_fn)
-        node.cpu.per_object(len(records), factor=1.5)
-        return table
-
     def _join_task(self, join, left_records, right_records, node) -> list:
         table = build_batch(right_records, join.right_key, node)
         return probe_batch(join, left_records, table, node)
 
-    def _local_join(self, join, left_stage, right_stage) -> StageResult:
-        result = StageResult()
-        if self._use_batch():
-            tasks = {
-                node_id: (
-                    lambda nid=node_id: self._join_task(
-                        join,
-                        left_stage.per_node[nid],
-                        right_stage.per_node.get(nid, []),
-                        self.cluster.nodes[nid],
-                    )
+    def _local_join(
+        self, join, left_stage, right_stage, stage: str = "local-join"
+    ) -> StageResult:
+        """Build and probe on every node that holds left-side records."""
+        tasks = {
+            node_id: (
+                lambda nid=node_id: self._join_task(
+                    join,
+                    left_stage.per_node[nid],
+                    right_stage.per_node.get(nid, []),
+                    self.cluster.nodes[nid],
                 )
-                for node_id in sorted(left_stage.per_node)
-            }
-            results = self._run_stage("local-join", tasks)
-            for node_id in sorted(left_stage.per_node):
-                result.per_node[node_id] = results[node_id]
-        else:
-            for node_id in sorted(left_stage.per_node):
-                node = self.cluster.nodes[node_id]
-                table = self._build_table(
-                    right_stage.per_node.get(node_id, []), join.right_key, node
-                )
-                result.per_node[node_id] = self._probe(
-                    join, left_stage.per_node[node_id], table, node
-                )
+            )
+            for node_id in sorted(left_stage.per_node)
+        }
+        result = StageResult(per_node=self._run_stage(stage, tasks))
         self.cluster.barrier()
         return result
 
@@ -407,30 +324,19 @@ class QueryScheduler:
         # records — build it once and share it read-only, while each node
         # still pays the same per_object(len(all_right), 1.5) build charge.
         table = build_hash_table(all_right, join.right_key)
-        result = StageResult()
-        if self._use_batch():
-            tasks = {
-                node_id: (
-                    lambda nid=node_id: self._broadcast_probe_task(
-                        join,
-                        left_stage.per_node[nid],
-                        len(all_right),
-                        table,
-                        self.cluster.nodes[nid],
-                    )
+        tasks = {
+            node_id: (
+                lambda nid=node_id: self._broadcast_probe_task(
+                    join,
+                    left_stage.per_node[nid],
+                    len(all_right),
+                    table,
+                    self.cluster.nodes[nid],
                 )
-                for node_id in sorted(left_stage.per_node)
-            }
-            results = self._run_stage("broadcast-join", tasks)
-            for node_id in sorted(left_stage.per_node):
-                result.per_node[node_id] = results[node_id]
-        else:
-            for node_id in sorted(left_stage.per_node):
-                node = self.cluster.nodes[node_id]
-                node.cpu.per_object(len(all_right), factor=1.5)
-                result.per_node[node_id] = self._probe(
-                    join, left_stage.per_node[node_id], table, node
-                )
+            )
+            for node_id in sorted(left_stage.per_node)
+        }
+        result = StageResult(per_node=self._run_stage("broadcast-join", tasks))
         self.cluster.barrier()
         return result
 
@@ -441,33 +347,7 @@ class QueryScheduler:
     def _repartition_join(self, join, left_stage, right_stage) -> StageResult:
         left_parts = self._shuffle(left_stage, join.left_key)
         right_parts = self._shuffle(right_stage, join.right_key)
-        result = StageResult()
-        if self._use_batch():
-            tasks = {
-                node_id: (
-                    lambda nid=node_id: self._join_task(
-                        join,
-                        left_parts.per_node.get(nid, []),
-                        right_parts.per_node.get(nid, []),
-                        self.cluster.nodes[nid],
-                    )
-                )
-                for node_id in sorted(left_parts.per_node)
-            }
-            results = self._run_stage("repartition-join", tasks)
-            for node_id in sorted(left_parts.per_node):
-                result.per_node[node_id] = results[node_id]
-        else:
-            for node_id in sorted(left_parts.per_node):
-                node = self.cluster.nodes[node_id]
-                table = self._build_table(
-                    right_parts.per_node.get(node_id, []), join.right_key, node
-                )
-                result.per_node[node_id] = self._probe(
-                    join, left_parts.per_node.get(node_id, []), table, node
-                )
-        self.cluster.barrier()
-        return result
+        return self._local_join(join, left_parts, right_parts, "repartition-join")
 
     def _shuffle(
         self, stage: StageResult, key_fn, num_partitions: int | None = None
@@ -485,31 +365,20 @@ class QueryScheduler:
             num_partitions=num_partitions,
             object_bytes=self.object_bytes,
         )
-        use_batch = self._use_batch()
         for node_id, records in stage.per_node.items():
             node = self.cluster.nodes[node_id]
-            if use_batch:
-                for chunk in iter_chunks(records, self.batch_size):
-                    batch = RecordBatch(chunk)
-                    service.write_batch(
-                        node_id,
-                        chunk,
-                        batch.partitions(key_fn, num_partitions),
-                        worker_node=node,
-                        nbytes=self.object_bytes,
-                    )
-                    self._note_batches(1, len(chunk))
-                self.metrics.shuffled_bytes += len(records) * self.object_bytes
-            else:
-                for record in records:
-                    partition = stable_hash(key_fn(record)) % num_partitions
-                    service.buffer_for(node_id, partition, worker_node=node).add_object(
-                        record, self.object_bytes
-                    )
-                    self.metrics.shuffled_bytes += self.object_bytes
+            for chunk in iter_chunks(records):
+                service.write_batch(
+                    node_id,
+                    chunk,
+                    RecordBatch(chunk).partitions(key_fn, num_partitions),
+                    worker_node=node,
+                    nbytes=self.object_bytes,
+                )
+                self._note_batches(1, len(chunk))
+            self.metrics.shuffled_bytes += len(records) * self.object_bytes
         service.finish_writing()
         self.cluster.barrier()
-        result = StageResult()
         # Several partitions resolve to the same home node whenever
         # num_partitions > num_nodes: group the reads per home and merge
         # the record lists instead of overwriting per_node[home_id].
@@ -517,17 +386,11 @@ class QueryScheduler:
         for partition in range(num_partitions):
             dataset = service.partition_set(partition)
             homes.setdefault(sorted(dataset.shards)[0], []).append(dataset)
-        if use_batch:
-            tasks = {
-                home_id: (lambda sets=datasets: self._shuffle_read_task(sets))
-                for home_id, datasets in homes.items()
-            }
-            results = self._run_stage("shuffle-read", tasks)
-            for home_id in sorted(homes):
-                result.per_node[home_id] = results[home_id]
-        else:
-            for home_id in sorted(homes):
-                result.per_node[home_id] = self._shuffle_read_task(homes[home_id])
+        tasks = {
+            home_id: (lambda sets=datasets: self._shuffle_read_task(sets))
+            for home_id, datasets in homes.items()
+        }
+        result = StageResult(per_node=self._run_stage("shuffle-read", tasks))
         service.drop()
         self.cluster.barrier()
         return result
@@ -545,70 +408,38 @@ class QueryScheduler:
     # ------------------------------------------------------------------
 
     def _exec_aggregate(self, agg: AggregateNode) -> StageResult:
-        from repro.services.hashsvc import VirtualHashBuffer
-
         child = self._exec(agg.child)
         self.metrics.local_agg_stages += 1
         # Hash pages must hold a healthy number of entries even when
         # logical record sizes are inflated by scale-down factors.
         agg_page_size = max(4 * MB, 64 * self.object_bytes)
-        # Local stage: one hash-service buffer per node.
-        partials = StageResult()
-        if self._use_batch():
-            # The manager is not thread-safe: create every per-node temp
-            # set on the driver first (same names and order as the serial
-            # path), run the local stages in parallel, drop after joining.
-            temps: dict[int, "LocalitySet"] = {}
-            for node_id, records in child.per_node.items():
-                if not records:
-                    continue
-                self._temp_counter += 1
-                temps[node_id] = self.cluster.create_set(
-                    f"__agg{self._temp_counter}_n{node_id}",
-                    durability="write-back",
-                    page_size=agg_page_size,
-                    nodes=[node_id],
-                    object_bytes=self.object_bytes,
+        # Local stage: one hash-service buffer per node.  The manager is
+        # not thread-safe: create every per-node temp set on the driver
+        # first, run the local stages, drop after joining.
+        temps: dict[int, "LocalitySet"] = {}
+        for node_id, records in child.per_node.items():
+            if not records:
+                continue
+            self._temp_counter += 1
+            temps[node_id] = self.cluster.create_set(
+                f"__agg{self._temp_counter}_n{node_id}",
+                durability="write-back",
+                page_size=agg_page_size,
+                nodes=[node_id],
+                object_bytes=self.object_bytes,
+            )
+        tasks = {
+            node_id: (
+                lambda nid=node_id, temp=temp: self._local_agg_task(
+                    agg, child.per_node[nid], temp
                 )
-            tasks = {
-                node_id: (
-                    lambda nid=node_id, temp=temp: self._local_agg_task(
-                        agg, child.per_node[nid], temp
-                    )
-                )
-                for node_id, temp in temps.items()
-            }
-            results = self._run_stage("local-agg", tasks)
-            for node_id in temps:
-                pairs, batches, fed = results[node_id]
-                partials.per_node[node_id] = pairs
-                self._note_batches(batches, fed)
-            for node_id, temp in temps.items():
-                temp.end_lifetime()
-                self.cluster.drop_set(temp.name)
-        else:
-            for node_id, records in child.per_node.items():
-                if not records:
-                    continue
-                self._temp_counter += 1
-                temp_name = f"__agg{self._temp_counter}_n{node_id}"
-                temp = self.cluster.create_set(
-                    temp_name,
-                    durability="write-back",
-                    page_size=agg_page_size,
-                    nodes=[node_id],
-                    object_bytes=self.object_bytes,
-                )
-                buffer = VirtualHashBuffer(
-                    temp, num_root_partitions=4, combiner=agg.merge_fn
-                )
-                for record in records:
-                    key = agg.key_fn(record)
-                    buffer.insert(key, agg.seed_fn(record), nbytes=self.object_bytes)
-                partials.per_node[node_id] = list(buffer.items())
-                buffer.release()
-                temp.end_lifetime()
-                self.cluster.drop_set(temp_name)
+            )
+            for node_id, temp in temps.items()
+        }
+        partials = StageResult(per_node=self._run_batched_stage("local-agg", tasks))
+        for temp in temps.values():
+            temp.end_lifetime()
+            self.cluster.drop_set(temp.name)
         self.cluster.barrier()
 
         # Final stage: partials route to key-owner nodes and merge there.
@@ -625,27 +456,16 @@ class QueryScheduler:
             if moved:
                 node.network.transfer(moved)
         self.cluster.barrier()
-        result = StageResult()
-        if self._use_batch():
-            tasks = {
-                node_id: (
-                    lambda nid=node_id: self._final_agg_task(
-                        agg, routed[nid], self.cluster.nodes[nid]
-                    )
+        tasks = {
+            node_id: (
+                lambda nid=node_id: self._final_agg_task(
+                    agg, routed[nid], self.cluster.nodes[nid]
                 )
-                for node_id, pairs in routed.items()
-                if pairs
-            }
-            results = self._run_stage("final-agg", tasks)
-            for node_id in routed:
-                if node_id in results:
-                    result.per_node[node_id] = results[node_id]
-        else:
-            for node_id, pairs in routed.items():
-                if not pairs:
-                    continue
-                node = self.cluster.nodes[node_id]
-                result.per_node[node_id] = self._final_agg_task(agg, pairs, node)
+            )
+            for node_id, pairs in routed.items()
+            if pairs
+        }
+        result = StageResult(per_node=self._run_stage("final-agg", tasks))
         self.cluster.barrier()
         return result
 
@@ -656,7 +476,7 @@ class QueryScheduler:
         key_fn = agg.key_fn
         seed_fn = agg.seed_fn
         batches = 0
-        for chunk in iter_chunks(records, self.batch_size):
+        for chunk in iter_chunks(records):
             buffer.insert_many(
                 [key_fn(record) for record in chunk],
                 [seed_fn(record) for record in chunk],

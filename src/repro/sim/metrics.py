@@ -265,10 +265,9 @@ SCHEDULER_COLUMNS = (
 def format_scheduler_table(metrics) -> str:
     """Render one :class:`~repro.query.scheduler.SchedulerMetrics` snapshot.
 
-    Strategy decisions on the left, vectorized-engine counters (batches
+    Strategy decisions on the left, batch-engine counters (batches
     processed, mean batch fill, stage counts with how many ran node-parallel,
-    mean per-stage parallelism) on the right; the batch columns read zero
-    for a record-at-a-time run.
+    mean per-stage parallelism) on the right.
     """
     widths = [width for _name, width in SCHEDULER_COLUMNS]
     lines = [_render_row([name for name, _w in SCHEDULER_COLUMNS], widths)]

@@ -5,7 +5,10 @@ with one deliberately corrupted page image and one node crash mid-scan.
 The replicated scan must return correct results at every stage, the
 robustness counters must show the stack actually healed (retries,
 read-repair, one automatic recovery), and replaying the same seed must
-reproduce the identical fault schedule and statistics.
+reproduce the identical fault schedule and statistics.  A second job
+runs a repartition join plus aggregation through the query scheduler
+under the same kind of transient faults: its rows must equal a
+fault-free run's, and a replay must reproduce it bit for bit.
 
 The seed comes from ``PANGEA_FAULT_SEED`` so CI can sweep a matrix of
 schedules; any failure is reproducible locally by exporting the seed.
@@ -16,11 +19,14 @@ import os
 from repro import FaultConfig, FaultInjector, MachineProfile, PangeaCluster
 from repro.placement.partitioner import HashPartitioner, partition_set
 from repro.placement.replication import register_replica
-from repro.sim.devices import MB
+from repro.query.operators import ScanNode
+from repro.query.scheduler import QueryScheduler
+from repro.sim.devices import KB, MB
 from repro.sim.metrics import aggregate_robustness
 
 SEED = int(os.environ.get("PANGEA_FAULT_SEED", "20260805"))
 ROWS = 600
+QUERY_ROWS = 4000
 
 
 def run_chaos(seed):
@@ -102,6 +108,63 @@ def run_chaos(seed):
     )
 
 
+def run_query_chaos(seed):
+    """A repartition join + aggregation; ``seed=None`` runs fault-free."""
+    cluster = PangeaCluster(
+        num_nodes=4, profile=MachineProfile.tiny(pool_bytes=64 * MB)
+    )
+    injector = None
+    if seed is not None:
+        injector = FaultInjector(
+            seed=seed,
+            config=FaultConfig(
+                disk_read_error_rate=0.08,
+                disk_write_error_rate=0.08,
+                disk_latency_spike_rate=0.05,
+                net_drop_rate=0.08,
+                net_slow_rate=0.05,
+            ),
+        ).attach(cluster)
+    orders = cluster.create_set("orders", page_size=4 * KB, object_bytes=100)
+    orders.add_data(
+        [{"orderkey": i, "cust": i % 13} for i in range(QUERY_ROWS // 4)]
+    )
+    lineitem = cluster.create_set("lineitem", page_size=4 * KB, object_bytes=100)
+    lineitem.add_data(
+        [{"id": i, "orderkey": i // 4, "qty": (i % 50) + 1} for i in range(QUERY_ROWS)]
+    )
+    # Spill both inputs so the scans read fault-prone disk images.
+    for dataset in (orders, lineitem):
+        for shard in dataset.shards.values():
+            for page in shard.resident_unpinned_pages():
+                shard.evict_page(page)
+    plan = (
+        ScanNode("lineitem")
+        .join(
+            ScanNode("orders"),
+            left_key=lambda r: r["orderkey"],
+            right_key=lambda r: r["orderkey"],
+            merge=lambda l, r: {**l, "cust": r["cust"]},
+        )
+        .aggregate(
+            key_fn=lambda r: r["cust"],
+            seed_fn=lambda r: r["qty"],
+            merge_fn=lambda a, b: a + b,
+            final_fn=lambda k, acc: {"cust": k, "qty": acc},
+        )
+    )
+    scheduler = QueryScheduler(cluster, broadcast_threshold=0, object_bytes=100)
+    rows = scheduler.execute(plan)
+    return {
+        "rows": rows,
+        "clocks": [node.clock.now.hex() for node in cluster.nodes],
+        "decisions": scheduler.metrics.decision_counters(),
+        "batches": scheduler.metrics.batches_processed,
+        "robustness": aggregate_robustness(cluster).as_dict(),
+        "injected": None if injector is None else injector.stats.as_dict(),
+    }
+
+
 class TestChaos:
     def test_chaos_job_survives_and_heals(self):
         stats, injected, _seconds = run_chaos(SEED)
@@ -115,3 +178,18 @@ class TestChaos:
 
     def test_chaos_replay_is_bit_identical(self):
         assert run_chaos(SEED) == run_chaos(SEED)
+
+    def test_query_under_faults_matches_fault_free_run(self):
+        faulty = run_query_chaos(SEED)
+        clean = run_query_chaos(None)
+        assert faulty["rows"] == clean["rows"]
+        assert sum(row["qty"] for row in faulty["rows"]) == sum(
+            (i % 50) + 1 for i in range(QUERY_ROWS)
+        )
+        assert faulty["decisions"]["repartition_joins"] == 1
+        assert faulty["batches"] > 0
+        assert faulty["robustness"]["retries"] >= 1
+        assert faulty["injected"]["disk_read_faults"] >= 1
+
+    def test_query_chaos_replay_is_bit_identical(self):
+        assert run_query_chaos(SEED) == run_query_chaos(SEED)

@@ -1,9 +1,9 @@
-"""Unit tests for the batch kernels, stage executor, and the satellite
-fixes that ride along with the vectorized query engine.
+"""Unit tests for the batch kernels, the stage executor, and the query
+scheduler's stage plumbing.
 
 The end-to-end bit-exactness story lives in ``test_query_golden.py``;
-here each kernel is checked in isolation against the per-record code it
-replaces, on identically-built twin clusters.
+here each kernel is checked in isolation against per-record reference
+code, on identically-built twin clusters.
 """
 
 import pytest
@@ -11,6 +11,7 @@ import pytest
 from repro import MachineProfile, PangeaCluster
 from repro.compute.stages import StageExecutor
 from repro.query.batch import (
+    DEFAULT_BATCH_SIZE,
     BatchStepRunner,
     RecordBatch,
     build_batch,
@@ -147,6 +148,26 @@ class TestRunStepsAccounting:
         assert node.clock.now == expected
 
 
+def probe_records(join, left_records, table) -> list:
+    """Record-at-a-time probe semantics: the reference for probe_batch."""
+    out: list = []
+    for record in left_records:
+        matches = table.get(join.left_key(record))
+        if join.how == "inner":
+            out.extend(join.merge(record, m) for m in matches or ())
+        elif join.how == "left_semi":
+            if matches:
+                out.append(record)
+        elif join.how == "left_anti":
+            if not matches:
+                out.append(record)
+        elif matches:  # left_outer
+            out.extend(join.merge(record, m) for m in matches)
+        else:
+            out.append(join.merge(record, None))
+    return out
+
+
 class TestJoinKernels:
     def make_join(self, how="inner"):
         return ScanNode("l").join(
@@ -164,9 +185,13 @@ class TestJoinKernels:
         right = [{"k": i % 3, "side": "r", "i": i} for i in range(9)]
         legacy_node = tiny_cluster().nodes[0]
         batch_node = tiny_cluster().nodes[0]
-        scheduler = QueryScheduler(tiny_cluster(), object_bytes=64)
-        table_legacy = scheduler._build_table(right, join.right_key, legacy_node)
-        legacy = scheduler._probe(join, left, table_legacy, legacy_node)
+        table_legacy: dict = {}
+        for record in right:
+            table_legacy.setdefault(join.right_key(record), []).append(record)
+        legacy = probe_records(join, left, table_legacy)
+        # One build charge over the right side, one probe charge over the left.
+        legacy_node.cpu.per_object(len(right), factor=1.5)
+        legacy_node.cpu.per_object(len(left), factor=2.0)
         table_batch = build_batch(right, join.right_key, batch_node)
         batch = probe_batch(join, left, table_batch, batch_node)
         assert table_batch == table_legacy
@@ -307,12 +332,11 @@ class TestShuffleHomeMerge:
     """Satellite: partitions sharing a home node merge instead of
     overwriting when num_partitions > num_nodes."""
 
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_merge_not_overwrite(self, vectorized):
+    def test_merge_not_overwrite(self):
         # Pool must hold several pinned 64MB shuffle big pages per node
         # (three partitions home to each of the two nodes).
         cluster = tiny_cluster(num_nodes=2, pool_bytes=512 * MB)
-        scheduler = QueryScheduler(cluster, object_bytes=64, vectorized=vectorized)
+        scheduler = QueryScheduler(cluster, object_bytes=64)
         stage = StageResult(per_node={0: [{"k": i} for i in range(200)], 1: []})
         out = scheduler._shuffle(stage, lambda r: r["k"], num_partitions=6)
         assert out.total_records() == 200
@@ -370,8 +394,7 @@ class TestStageExecutor:
 
 
 class TestBroadcastBuildOnce:
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_right_key_called_once_per_record(self, vectorized):
+    def test_right_key_called_once_per_record(self):
         cluster = tiny_cluster(num_nodes=3)
         orders = cluster.create_set("orders", page_size=1 * MB, object_bytes=64)
         items = cluster.create_set("items", page_size=1 * MB, object_bytes=64)
@@ -389,7 +412,7 @@ class TestBroadcastBuildOnce:
             right_key=right_key,
             merge=lambda l, r: {**l, **r},
         )
-        scheduler = QueryScheduler(cluster, object_bytes=64, vectorized=vectorized)
+        scheduler = QueryScheduler(cluster, object_bytes=64)
         rows = scheduler.execute(plan)
         assert scheduler.metrics.broadcast_joins == 1
         assert len(rows) == 240
@@ -413,7 +436,7 @@ class TestSchedulerMetricsSurface:
         m = scheduler.metrics
         assert m.batches_processed > 0
         assert m.batch_records >= 500
-        assert 0 < m.mean_batch_fill <= scheduler.batch_size
+        assert 0 < m.mean_batch_fill <= DEFAULT_BATCH_SIZE
         assert m.stages_run >= m.parallel_stages > 0
         assert 1.0 <= m.mean_stage_parallelism <= cluster.num_nodes
         table = format_scheduler_table(m)
@@ -423,13 +446,3 @@ class TestSchedulerMetricsSurface:
         # Every cell right-aligned into its column width.
         for line in (header, row):
             assert not line.startswith(" " * 2) or line.strip()
-
-    def test_legacy_engine_reports_zero_batches(self):
-        cluster = tiny_cluster(num_nodes=2)
-        data = cluster.create_set("d", page_size=1 * MB, object_bytes=64)
-        data.add_data([{"k": i} for i in range(50)])
-        scheduler = QueryScheduler(cluster, object_bytes=64, vectorized=False)
-        scheduler.execute(ScanNode("d").filter(lambda r: True))
-        assert scheduler.metrics.batches_processed == 0
-        assert scheduler.metrics.mean_batch_fill == 0.0
-        assert scheduler.metrics.mean_stage_parallelism == 0.0
