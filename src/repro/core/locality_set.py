@@ -403,10 +403,6 @@ class LocalShard:
         with self.pool.lock:
             return [p for p in self.pages if p.in_memory and not p.pinned]
 
-    def resident_unpinned_count(self) -> int:
-        """O(1) evictable-page count from the recency index."""
-        return self.recency.evictable_count()
-
     def resident_pages(self) -> list[Page]:
         with self.pool.lock:
             return [p for p in self.pages if p.in_memory]

@@ -10,24 +10,20 @@ global LRU, global MRU, and three DBMIN variants (desired size fixed at 1
 page, fixed at 1000 pages, and adaptively estimated), plus the "tuned"
 DBMIN whose desired sizes are capped at memory so it does not block.
 
-Victim selection has two interchangeable implementations:
+Victim selection reads the per-shard
+:class:`~repro.core.recency.RecencyIndex` maintained incrementally by the
+page lifecycle, so MRU/LRU victims pop in O(1) and the data-aware policy
+evaluates one cached cost estimate per candidate *set* instead of sorting
+candidate *pages* — amortized O(log n) per round (O(S) candidate sets,
+O(k log S) for global k-page batches).
 
-* the **legacy scan** (``next_victim``/``victim_batch`` and the
-  ``use_index=False`` policy paths) re-derives eviction order from a full
-  walk-and-sort of every shard's page list on every round — O(P log P)
-  under paging pressure.  It is kept as the reference oracle: the golden
-  eviction-trace tests assert the indexed path reproduces its decisions
-  bit-for-bit, and the ``benchmarks/perf`` harness times one against the
-  other.
-* the **victim-index path** (``use_index=True``, the default) reads the
-  per-shard :class:`~repro.core.recency.RecencyIndex` maintained
-  incrementally by the page lifecycle, so MRU/LRU victims pop in O(1) and
-  the data-aware policy evaluates one cached cost estimate per candidate
-  *set* instead of sorting candidate *pages* — amortized O(log n) per
-  round (O(S) candidate sets, O(k log S) for global k-page batches).
-
-Both paths produce identical victim sequences because access ticks are
-unique per node: the index order is the sort order.
+Ties cannot occur within a node: every access draws a fresh tick, so
+``last_access_tick`` values are unique and the index order is exactly the
+order a sort by ``last_access_tick`` gives.  Between candidate sets of
+equal expected cost, the data-aware policy picks the first in
+registration order.  ``tests/golden/eviction_traces.json`` pins these
+decisions as data; ``PYTHONPATH=src python tests/test_paging_index.py``
+re-captures it after a deliberate change to simulated time.
 """
 
 from __future__ import annotations
@@ -82,21 +78,7 @@ def set_strategy(shard: "LocalShard") -> str:
 
 
 def next_victim(shard: "LocalShard") -> Page | None:
-    """The page the set's own strategy would evict next (legacy scan).
-
-    This is the reference implementation the indexed path is tested
-    against: a full walk of the page list with a max/min scan.
-    """
-    candidates = shard.resident_unpinned_pages()
-    if not candidates:
-        return None
-    if set_strategy(shard) == "mru":
-        return max(candidates, key=lambda p: p.last_access_tick)
-    return min(candidates, key=lambda p: p.last_access_tick)
-
-
-def next_victim_indexed(shard: "LocalShard") -> Page | None:
-    """O(1) equivalent of :func:`next_victim` via the recency index."""
+    """The page the set's own strategy would evict next, in O(1)."""
     recency = shard.recency
     if set_strategy(shard) == "mru":
         return recency.peek_mru()
@@ -107,35 +89,11 @@ def victim_batch(shard: "LocalShard") -> list[Page]:
     """The pages to evict once a set is chosen as the victim.
 
     One page while the set is being written (evicting fresh output is
-    expensive); a 10% recency-ordered batch for read-only sets; everything
-    for sets whose lifetime has ended (dead data needs no flush and will
-    never be re-read).
-
-    Legacy scan-and-sort implementation, kept as the oracle for the
-    indexed equivalent below.
-    """
-    candidates = shard.resident_unpinned_pages()
-    if not candidates:
-        return []
-    if shard.attributes.lifetime_ended:
-        return candidates
-    op = shard.attributes.current_operation
-    if op in (CurrentOperation.WRITE, CurrentOperation.READ_AND_WRITE):
-        victim = next_victim(shard)
-        return [victim] if victim is not None else []
-    count = max(1, int(len(candidates) * READ_BATCH_FRACTION))
-    reverse = set_strategy(shard) == "mru"
-    ordered = sorted(candidates, key=lambda p: p.last_access_tick, reverse=reverse)
-    return ordered[:count]
-
-
-def victim_batch_indexed(shard: "LocalShard") -> list[Page]:
-    """Sort-free equivalent of :func:`victim_batch`.
-
-    Write batches peek one victim in O(1); read batches take the first
-    10% of the recency index from the strategy's end (O(k)).  Dead sets
-    fall back to the page-list order the legacy path returns (the whole
-    shard is evicted anyway, so the walk is proportional to the work).
+    expensive), peeked in O(1); a 10% batch for read-only sets, taken
+    from the strategy's end of the recency index in O(k); everything for
+    sets whose lifetime has ended (dead data needs no flush and will
+    never be re-read), in page-list order — the whole shard is evicted
+    anyway, so the walk is proportional to the work.
     """
     recency = shard.recency
     if shard.attributes.lifetime_ended:
@@ -145,7 +103,7 @@ def victim_batch_indexed(shard: "LocalShard") -> list[Page]:
         return []
     op = shard.attributes.current_operation
     if op in (CurrentOperation.WRITE, CurrentOperation.READ_AND_WRITE):
-        victim = next_victim_indexed(shard)
+        victim = next_victim(shard)
         return [victim] if victim is not None else []
     count = max(1, int(evictable * READ_BATCH_FRACTION))
     return recency.top_evictable(count, newest_first=set_strategy(shard) == "mru")
@@ -262,9 +220,8 @@ class PagingPolicy:
 class DataAwarePolicy(PagingPolicy):
     """The paper's policy: dynamic priorities over locality sets.
 
-    With ``use_index=True`` (the default) victim selection reads the
-    per-shard recency indexes and keeps a lazily-rebuilt min-heap of
-    per-set cost estimates:
+    Victim selection reads the per-shard recency indexes and keeps a
+    lazily-rebuilt min-heap of per-set cost estimates:
 
     * the tick-independent terms ``(cw, vr, wr)`` of each candidate set's
       next victim are cached on ``shard.cost_terms`` keyed by
@@ -278,21 +235,20 @@ class DataAwarePolicy(PagingPolicy):
       unchanged because nothing else was touched, evicted, or re-pinned
       between rounds (the pool lock is held throughout).
 
-    Tie-breaking matches the legacy scan exactly: the heap orders by
-    ``(total, candidate_index)``, which is the same "first strict
-    minimum in registration order" the linear scan produced.
+    Tie-breaking: the heap orders by ``(total, candidate_index)``, so of
+    several sets with the same expected cost the first in registration
+    order is the victim.
     """
 
     name = "data-aware"
 
-    def __init__(self, horizon: float = 1.0, use_index: bool = True) -> None:
+    def __init__(self, horizon: float = 1.0) -> None:
         self.horizon = horizon
-        self.use_index = use_index
         #: The cost-model evaluation behind the most recent victim choice:
         #: ``(set_name, tick, CostBreakdown)``.  Read by the paging system
         #: (under its lock) to feed traces and the per-set registry.
         self.last_decision: "tuple[str, int, CostBreakdown] | None" = None
-        # Lazy-heap state (indexed path only).
+        # Lazy-heap state.
         self._heap: "list[tuple[float, int]]" = []
         self._heap_tick = -1
         self._heap_sig: tuple = ()
@@ -303,39 +259,6 @@ class DataAwarePolicy(PagingPolicy):
     def select_victims(
         self, shards: "list[LocalShard]", needed_bytes: int
     ) -> list[Page]:
-        if not self.use_index:
-            return self._select_victims_scan(shards)
-        return self._select_victims_indexed(shards)
-
-    # -- legacy scan (reference oracle) --------------------------------
-
-    def _select_victims_scan(self, shards: "list[LocalShard]") -> list[Page]:
-        evictable = [s for s in shards if s.resident_unpinned_pages()]
-        if not evictable:
-            return []
-        dead = [s for s in evictable if s.attributes.lifetime_ended]
-        candidates = dead if dead else evictable
-        now = candidates[0].paging.current_tick
-        best_shard = None
-        best: "CostBreakdown | None" = None
-        best_cost = math.inf
-        for shard in candidates:
-            victim = next_victim(shard)
-            if victim is None:
-                continue
-            breakdown = eviction_cost_breakdown(shard, victim, now, self.horizon)
-            if breakdown.total < best_cost:
-                best_cost = breakdown.total
-                best_shard = shard
-                best = breakdown
-        if best_shard is None:
-            return []
-        self.last_decision = (best_shard.dataset.name, now, best)
-        return victim_batch(best_shard)
-
-    # -- victim-index path ---------------------------------------------
-
-    def _select_victims_indexed(self, shards: "list[LocalShard]") -> list[Page]:
         candidates = [s for s in shards if s.recency.evictable_count() > 0]
         if not candidates:
             return []
@@ -365,7 +288,7 @@ class DataAwarePolicy(PagingPolicy):
         shard, breakdown = self._meta[idx]
         self._last_idx = idx
         self.last_decision = (shard.dataset.name, now, breakdown)
-        return victim_batch_indexed(shard)
+        return victim_batch(shard)
 
     def _rebuild_heap(
         self, candidates: "list[LocalShard]", now: int, paging
@@ -385,7 +308,7 @@ class DataAwarePolicy(PagingPolicy):
         self, shard: "LocalShard", idx: int, now: int, paging, push: bool
     ) -> None:
         """Estimate one candidate set's eviction cost into the heap."""
-        victim = next_victim_indexed(shard)
+        victim = next_victim(shard)
         if victim is None:  # pragma: no cover - evictable_count() > 0
             return
         key = _cost_cache_key(shard, victim)
@@ -415,27 +338,17 @@ class DataAwarePolicy(PagingPolicy):
 class GlobalLruPolicy(PagingPolicy):
     """Least-recently-used over all unpinned pages, 10% batches.
 
-    The indexed path k-way-merges the per-shard recency indexes (each
-    already sorted by access tick) instead of gathering and sorting the
-    whole resident set — O(k log S) for a k-page batch over S shards.
-    Unique ticks make the merge order identical to the legacy sort.
+    K-way-merges the per-shard recency indexes (each already sorted by
+    access tick) instead of gathering and sorting the whole resident set
+    — O(k log S) for a k-page batch over S shards.  Ticks are unique per
+    node, so the merge order is the global access order.
     """
 
     name = "lru"
 
-    def __init__(self, use_index: bool = True) -> None:
-        self.use_index = use_index
-
     def select_victims(
         self, shards: "list[LocalShard]", needed_bytes: int
     ) -> list[Page]:
-        if not self.use_index:
-            pages = [p for s in shards for p in s.resident_unpinned_pages()]
-            if not pages:
-                return []
-            pages.sort(key=lambda p: p.last_access_tick)
-            count = max(1, int(len(pages) * READ_BATCH_FRACTION))
-            return pages[:count]
         total = sum(s.recency.evictable_count() for s in shards)
         if total <= 0:
             return []
@@ -450,25 +363,15 @@ class GlobalLruPolicy(PagingPolicy):
 class GlobalMruPolicy(PagingPolicy):
     """Most-recently-used over all unpinned pages, 10% batches.
 
-    Indexed path: same k-way merge as :class:`GlobalLruPolicy`, walking
-    each recency index newest-first with a descending merge.
+    Same k-way merge as :class:`GlobalLruPolicy`, walking each recency
+    index newest-first with a descending merge.
     """
 
     name = "mru"
 
-    def __init__(self, use_index: bool = True) -> None:
-        self.use_index = use_index
-
     def select_victims(
         self, shards: "list[LocalShard]", needed_bytes: int
     ) -> list[Page]:
-        if not self.use_index:
-            pages = [p for s in shards for p in s.resident_unpinned_pages()]
-            if not pages:
-                return []
-            pages.sort(key=lambda p: p.last_access_tick, reverse=True)
-            count = max(1, int(len(pages) * READ_BATCH_FRACTION))
-            return pages[:count]
         total = sum(s.recency.evictable_count() for s in shards)
         if total <= 0:
             return []
@@ -499,17 +402,11 @@ class DbminPolicy(PagingPolicy):
     surfaced here as :class:`DbminBlockedError`.
     """
 
-    def __init__(
-        self,
-        mode: str = "adaptive",
-        fixed_pages: int = 1000,
-        use_index: bool = True,
-    ) -> None:
+    def __init__(self, mode: str = "adaptive", fixed_pages: int = 1000) -> None:
         if mode not in ("one", "fixed", "adaptive", "tuned"):
             raise ValueError(f"unknown DBMIN mode {mode!r}")
         self.mode = mode
         self.fixed_pages = fixed_pages
-        self.use_index = use_index
         self.name = f"dbmin-{mode if mode != 'fixed' else fixed_pages}"
 
     def desired_pages(self, shard: "LocalShard", pool_capacity: int) -> int:
@@ -555,21 +452,14 @@ class DbminPolicy(PagingPolicy):
         # least-recently-used set overall.
         over = []
         for shard in live:
-            if self.use_index:
-                resident = shard.recency.evictable_count()
-            else:
-                resident = len(shard.resident_unpinned_pages())
+            resident = shard.recency.evictable_count()
             excess = resident - desired[id(shard)]
             if resident > 0:
                 over.append((excess, -shard.attributes.access_recency, shard))
         if not over:
             return []
         over.sort(key=lambda t: (t[0], t[1]), reverse=True)
-        victim_shard = over[0][2]
-        if self.use_index:
-            victim = next_victim_indexed(victim_shard)
-        else:
-            victim = next_victim(victim_shard)
+        victim = next_victim(over[0][2])
         return [victim] if victim is not None else []
 
 
@@ -657,27 +547,28 @@ class LruKPolicy(PagingPolicy):
         return [victim]
 
 
-def make_policy(name: str, **kwargs) -> PagingPolicy:
+def make_policy(name: str) -> PagingPolicy:
     """Factory for every policy the benchmarks compare."""
     name = name.lower()
     if name in ("data-aware", "dataaware", "pangea"):
-        return DataAwarePolicy(**kwargs)
+        return DataAwarePolicy()
     if name == "lru":
-        return GlobalLruPolicy(**kwargs)
+        return GlobalLruPolicy()
     if name == "mru":
-        return GlobalMruPolicy(**kwargs)
+        return GlobalMruPolicy()
     if name == "dbmin-1":
-        return DbminPolicy(mode="one", **kwargs)
+        return DbminPolicy(mode="one")
     if name == "dbmin-1000":
-        return DbminPolicy(mode="fixed", fixed_pages=1000, **kwargs)
+        return DbminPolicy(mode="fixed", fixed_pages=1000)
     if name == "dbmin-adaptive":
-        return DbminPolicy(mode="adaptive", **kwargs)
+        return DbminPolicy(mode="adaptive")
     if name == "dbmin-tuned":
-        return DbminPolicy(mode="tuned", **kwargs)
+        return DbminPolicy(mode="tuned")
     if name == "greedy-dual":
         return GreedyDualPolicy()
-    if name.startswith("lru-"):
-        return LruKPolicy(k=int(name.split("-", 1)[1]), **kwargs)
+    k = name.removeprefix("lru-")
+    if k != name and k.isdecimal():
+        return LruKPolicy(k=int(k))
     raise ValueError(
         f"unknown paging policy {name!r}; expected data-aware, lru, mru, "
         f"dbmin-1, dbmin-1000, dbmin-adaptive, dbmin-tuned, greedy-dual "

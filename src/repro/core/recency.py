@@ -1,12 +1,9 @@
 """Per-shard intrusive recency indexes for sublinear victim selection.
 
-The legacy paging hot path re-derived eviction order from scratch on every
-``make_room`` round: ``resident_unpinned_pages()`` walked the whole page
-list and the policies sorted (or min/max-scanned) the result by
-``last_access_tick`` — O(P log P) per round under paging pressure.
-
-:class:`RecencyIndex` replaces those scans with an ordered structure that
-is maintained *incrementally* by the page lifecycle itself:
+The paging policies read eviction order from :class:`RecencyIndex`, an
+ordered structure maintained *incrementally* by the page lifecycle itself,
+instead of walking the page list and sorting it by ``last_access_tick`` on
+every ``make_room`` round:
 
 * :meth:`insert` when a page becomes resident (``new_page`` or a page-in
   reload inside ``pin_page``);
@@ -17,10 +14,13 @@ is maintained *incrementally* by the page lifecycle itself:
 
 Because every access draws a fresh value from the node's
 :class:`~repro.sim.clock.TickCounter`, ``last_access_tick`` values are
-unique per node, so the index order (an :class:`~collections.OrderedDict`,
-i.e. a doubly-linked list keyed by page id) is exactly the total order the
-legacy sort produced — MRU pops from the tail, LRU from the head, both
-O(1) plus a skip over any pinned pages in the way.
+unique per node and never tie, so the index order (an
+:class:`~collections.OrderedDict`, i.e. a doubly-linked list keyed by page
+id) is exactly the order a sort by ``last_access_tick`` gives — MRU pops
+from the tail, LRU from the head, both O(1) plus a skip over any pinned
+pages in the way.  ``tests/golden/eviction_traces.json`` pins the
+resulting eviction decisions; ``PYTHONPATH=src python
+tests/test_paging_index.py`` re-captures it.
 
 All mutations happen under the node's storage lock (the callers already
 hold it); reads from the paging policies run inside ``make_room``, which

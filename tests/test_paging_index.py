@@ -1,41 +1,70 @@
-"""Victim-index path: golden-trace equivalence against the legacy scan.
+"""Victim selection pinned as golden eviction traces, plus index unit tests.
 
-The indexed hot path (``use_index=True``, the default) must make
-bit-identical eviction decisions to the legacy scan-and-sort oracle: same
-victims, same order, same dirty/flushed ground truth, same simulated
-clock.  These tests drive seeded Fig. 9- and Fig. 10-shaped workloads
-through both implementations of every strategy and compare the exact
-:class:`~repro.core.paging.EvictionEvent` traces, plus unit tests for the
-:class:`~repro.core.recency.RecencyIndex`, the cost-term cache, the
-coalesced ``write_many`` flush path, and the metrics reconciliation
-invariant for the new counters.
+``tests/golden/eviction_traces.json`` was captured from the legacy
+scan-and-sort victim selectors, which the paging policies kept behind a
+constructor flag as their oracle until the recency-index path became
+their only path.  GreedyDual and LRU-K always had one path and were
+captured from it; DBMIN-adaptive and DBMIN-1000 raise
+:class:`~repro.core.policies.DbminBlockedError` under this much pressure,
+as the paper shows, and the capture records that.  Every case in
+:data:`CASES` (Fig. 3, 9 and 10 shaped workloads under every
+``make_policy`` name, plus a dead-set case) now runs on the current
+policies and must reproduce the capture exactly:
+
+* the :class:`~repro.core.paging.EvictionEvent` trace as
+  ``(set_name, page_id, was_dirty, flushed, tick)`` tuples,
+* the node's simulated clock as ``float.hex`` (exact float equality),
+* the pool's ``evictions``/``pageouts`` and the paging system's
+  ``eviction_rounds``/``pages_evicted``, and
+* the type of the exception the workload raised, if any.
+
+Access ticks are unique per node, so the recency-index order is the order
+a sort by ``last_access_tick`` gives; that is why the two paths agreed.
+
+To re-baseline after a deliberate change to simulated time, run
+``PYTHONPATH=src python tests/test_paging_index.py`` and say why in the
+change.
+
+The unit tests below cover the :class:`~repro.core.recency.RecencyIndex`,
+the victim helpers against a sort written in the test, the cost-term
+cache, the coalesced ``write_many`` flush path, and the metrics
+reconciliation invariant for the index counters.
 """
 
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from repro import MachineProfile, PangeaCluster
-from repro.core.attributes import ReadingPattern, WritingPattern
+from repro.core.attributes import CurrentOperation, ReadingPattern, WritingPattern
 from repro.core.policies import (
-    DataAwarePolicy,
+    READ_BATCH_FRACTION,
+    DbminBlockedError,
     _cost_cache_key,
     make_policy,
     next_victim,
-    next_victim_indexed,
+    set_strategy,
     victim_batch,
-    victim_batch_indexed,
 )
 from repro.sim import metrics as metrics_mod
 from repro.sim.clock import SimClock
 from repro.sim.devices import MB, DiskArray, DiskDevice
 from repro.fs.page_file import SetFile
 
-PAGE = 256 * 1024
+GOLDEN = Path(__file__).parent / "golden" / "eviction_traces.json"
 
-#: The five strategies the golden traces cover (the adaptive DBMIN modes
-#: raise DbminBlockedError under this much pressure, as the paper shows).
+PAGE = 256 * 1024
+SMALL_PAGE = 64 * 1024
+
+#: The five strategies that had a legacy scan beside the index path.
 STRATEGIES = ["data-aware", "lru", "mru", "dbmin-1", "dbmin-tuned"]
+#: Policies that only ever had one path.
+SINGLE_PATH = ["greedy-dual", "lru-2"]
+#: DBMIN modes that block (raise DbminBlockedError) under this pressure.
+BLOCKING = ["dbmin-adaptive", "dbmin-1000"]
 
 
 def make_cluster(policy):
@@ -47,9 +76,8 @@ def make_cluster(policy):
     return cluster
 
 
-def run_fig9_workload(policy, seed=901):
+def run_fig9_workload(cluster, seed=901):
     """Fig. 9 shape: sequential writers spilling, then looped rescans."""
-    cluster = make_cluster(policy)
     rng = random.Random(seed)
     writeback = cluster.create_set("spill", durability="write-back", page_size=PAGE)
     through = cluster.create_set("persist", durability="write-through", page_size=PAGE)
@@ -73,12 +101,10 @@ def run_fig9_workload(policy, seed=901):
         page = rng.choice(ws.pages)
         ws.pin_page(page)
         ws.unpin_page(page)
-    return cluster
 
 
-def run_fig10_workload(policy, seed=1001):
+def run_fig10_workload(cluster, seed=1001):
     """Fig. 10 shape: a shuffle — random-read input, random-write output."""
-    cluster = make_cluster(policy)
     rng = random.Random(seed)
     source = cluster.create_set("source", durability="write-back", page_size=PAGE)
     sink = cluster.create_set("sink", durability="write-back", page_size=PAGE)
@@ -105,73 +131,174 @@ def run_fig10_workload(policy, seed=1001):
             ks.pin_page(out)
             out.append(f"mut-{i}", 64)
             ks.unpin_page(out)
-    return cluster
 
 
-def trace_of(cluster):
-    return [
-        (e.set_name, e.page_id, e.was_dirty, e.flushed, e.tick)
-        for e in cluster.nodes[0].paging.trace
-    ]
+def run_scan_workload(cluster, seed=301):
+    """Fig. 3 shape: a read-only input re-scanned while an output is
+    written, with pages small enough that a 10% read batch is several
+    pages."""
+    rng = random.Random(seed)
+    points = cluster.create_set("points", durability="write-back", page_size=SMALL_PAGE)
+    model = cluster.create_set("model", durability="write-back", page_size=SMALL_PAGE)
+    ps, ms = points.shards[0], model.shards[0]
+    ps.attributes.note_write_service(WritingPattern.SEQUENTIAL_WRITE)
+    for i in range(80):
+        page = ps.new_page()
+        page.append(f"pt-{i}", 64)
+        ps.unpin_page(page)
+    ps.attributes.note_read_service(ReadingPattern.SEQUENTIAL_READ)
+    ps.attributes.note_service_detached(remaining_readers=1, remaining_writers=0)
+    ms.attributes.note_write_service(WritingPattern.SEQUENTIAL_WRITE)
+    for iteration in range(2):
+        for page in list(ps.pages):
+            ps.pin_page(page)
+            ps.unpin_page(page)
+            if rng.random() < 0.2:
+                out = ms.new_page()
+                out.append(f"model-{iteration}", 64)
+                ms.unpin_page(out)
 
 
-WORKLOADS = {"fig9": run_fig9_workload, "fig10": run_fig10_workload}
+def run_dead_set_workload(cluster):
+    """A set whose lifetime ended beside a live set still being written."""
+    dead = cluster.create_set("dead", durability="write-back", page_size=PAGE)
+    live = cluster.create_set("live", durability="write-back", page_size=PAGE)
+    for i in range(10):
+        shard = dead.shards[0] if i % 2 else live.shards[0]
+        page = shard.new_page()
+        page.append("x", 32)
+        shard.unpin_page(page)
+    dead.end_lifetime()
+    for _ in range(10):
+        page = live.shards[0].new_page()
+        page.append("y", 32)
+        live.shards[0].unpin_page(page)
+
+
+WORKLOADS = {
+    "fig3": run_scan_workload,
+    "fig9": run_fig9_workload,
+    "fig10": run_fig10_workload,
+}
+
+#: Case name -> (workload, paging policy name).
+CASES = {
+    f"{workload}-{policy}": (WORKLOADS[workload], policy)
+    for workload in sorted(WORKLOADS)
+    for policy in STRATEGIES + SINGLE_PATH + BLOCKING
+}
+CASES["dead-set-data-aware"] = (run_dead_set_workload, "data-aware")
+
+
+def run_case(name: str) -> dict:
+    """Run one case on a fresh cluster and observe what the capture holds."""
+    workload, policy = CASES[name]
+    cluster = make_cluster(make_policy(policy))
+    error = None
+    try:
+        workload(cluster)
+    except DbminBlockedError as exc:
+        error = type(exc).__name__
+    node = cluster.nodes[0]
+    return {
+        "trace": [
+            [e.set_name, e.page_id, e.was_dirty, e.flushed, e.tick]
+            for e in node.paging.trace
+        ],
+        "clock": node.clock.now.hex(),
+        "evictions": node.pool.stats.evictions,
+        "pageouts": node.pool.stats.pageouts,
+        "eviction_rounds": node.paging.stats.eviction_rounds,
+        "pages_evicted": node.paging.stats.pages_evicted,
+        "error": error,
+    }
+
+
+def capture_all() -> dict:
+    return {name: run_case(name) for name in CASES}
+
+
+def dump_golden(captured: dict) -> str:
+    """``captured`` as indented JSON with each trace event on one line."""
+    text = json.dumps(captured, indent=1, sort_keys=True)
+    return re.sub(
+        r"\[\s+([^\[\]]*?)\s+\]", lambda m: f"[{' '.join(m.group(1).split())}]", text
+    ) + "\n"
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def assert_golden(golden: dict, name: str) -> dict:
+    observed = run_case(name)
+    assert observed == golden[name]
+    return observed
+
+
+def test_fixture_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
 
 
 class TestGoldenTraceEquivalence:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_indexed_path_reproduces_legacy_trace(self, workload, strategy):
-        run = WORKLOADS[workload]
-        legacy = run(make_policy(strategy, use_index=False))
-        indexed = run(make_policy(strategy, use_index=True))
-        assert trace_of(indexed) == trace_of(legacy)
-        assert len(trace_of(indexed)) > 0, "workload produced no evictions"
-        assert (
-            indexed.nodes[0].clock.now == legacy.nodes[0].clock.now
-        ), "simulated cost diverged between the paths"
+    def test_indexed_path_reproduces_legacy_trace(self, golden, workload, strategy):
+        observed = assert_golden(golden, f"{workload}-{strategy}")
+        assert observed["trace"], "workload produced no evictions"
+        assert observed["error"] is None
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_default_policy_uses_the_index(self, strategy):
-        policy = make_policy(strategy)
-        assert policy.use_index is True
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    @pytest.mark.parametrize("policy", SINGLE_PATH + BLOCKING)
+    def test_other_factory_policies_match_golden(self, golden, workload, policy):
+        observed = assert_golden(golden, f"{workload}-{policy}")
+        if policy in BLOCKING:
+            assert observed["error"] == "DbminBlockedError"
+        else:
+            assert observed["trace"], "workload produced no evictions"
+            assert observed["error"] is None
 
     def test_lifetime_ended_sets_still_evicted_first(self):
-        for use_index in (False, True):
-            cluster = make_cluster(DataAwarePolicy(use_index=use_index))
-            dead = cluster.create_set("dead", durability="write-back", page_size=1 * MB)
-            live = cluster.create_set("live", durability="write-back", page_size=1 * MB)
-            for shard in (dead.shards[0], live.shards[0]):
-                for _ in range(2):
-                    page = shard.new_page()
-                    shard.unpin_page(page)
-            dead.end_lifetime()
-            live.shards[0].new_page()
-            trace = cluster.nodes[0].paging.trace
-            assert trace[0].set_name == "dead", f"use_index={use_index}"
-            # Dead data is dropped, never flushed.
-            assert not trace[0].flushed
-
-    def test_dead_set_golden_trace_matches(self):
-        def run(policy):
-            cluster = make_cluster(policy)
-            dead = cluster.create_set("dead", durability="write-back", page_size=PAGE)
-            live = cluster.create_set("live", durability="write-back", page_size=PAGE)
-            for i in range(10):
-                shard = dead.shards[0] if i % 2 else live.shards[0]
+        cluster = make_cluster(make_policy("data-aware"))
+        dead = cluster.create_set("dead", durability="write-back", page_size=1 * MB)
+        live = cluster.create_set("live", durability="write-back", page_size=1 * MB)
+        for shard in (dead.shards[0], live.shards[0]):
+            for _ in range(2):
                 page = shard.new_page()
-                page.append("x", 32)
                 shard.unpin_page(page)
-            dead.end_lifetime()
-            for _ in range(10):
-                page = live.shards[0].new_page()
-                page.append("y", 32)
-                live.shards[0].unpin_page(page)
-            return cluster
+        dead.end_lifetime()
+        live.shards[0].new_page()
+        trace = cluster.nodes[0].paging.trace
+        assert trace[0].set_name == "dead"
+        # Dead data is dropped, never flushed.
+        assert not trace[0].flushed
 
-        legacy = run(DataAwarePolicy(use_index=False))
-        indexed = run(DataAwarePolicy(use_index=True))
-        assert trace_of(indexed) == trace_of(legacy)
+    def test_dead_set_golden_trace_matches(self, golden):
+        observed = assert_golden(golden, "dead-set-data-aware")
+        assert observed["trace"][0][0] == "dead"
+
+
+def reference_order(shard):
+    """Test-local reference: the evictable pages sorted by access tick,
+    newest first for an MRU set, oldest first for an LRU set."""
+    return sorted(
+        shard.resident_unpinned_pages(),
+        key=lambda p: p.last_access_tick,
+        reverse=set_strategy(shard) == "mru",
+    )
+
+
+def reference_batch(shard):
+    """Test-local reference for :func:`victim_batch`."""
+    candidates = shard.resident_unpinned_pages()
+    if shard.attributes.lifetime_ended:
+        return candidates
+    ordered = reference_order(shard)
+    op = shard.attributes.current_operation
+    if op in (CurrentOperation.WRITE, CurrentOperation.READ_AND_WRITE):
+        return ordered[:1]
+    return ordered[: max(1, int(len(ordered) * READ_BATCH_FRACTION))]
 
 
 class TestVictimHelpersAgree:
@@ -193,9 +320,9 @@ class TestVictimHelpersAgree:
     def test_next_victim_matches_for_both_strategies(self, cluster):
         shard = self.make_shard(cluster, "s")
         shard.attributes.note_write_service(WritingPattern.SEQUENTIAL_WRITE)
-        assert next_victim_indexed(shard) is next_victim(shard)
+        assert next_victim(shard) is reference_order(shard)[0]
         shard.attributes.note_read_service(ReadingPattern.RANDOM_READ)
-        assert next_victim_indexed(shard) is next_victim(shard)
+        assert next_victim(shard) is reference_order(shard)[0]
 
     def test_victim_batch_matches_after_touches(self, cluster):
         shard = self.make_shard(cluster, "s", pages=10)
@@ -205,20 +332,20 @@ class TestVictimHelpersAgree:
             page = rng.choice(shard.pages)
             shard.pin_page(page)
             shard.unpin_page(page)
-        assert victim_batch_indexed(shard) == victim_batch(shard)
+        assert victim_batch(shard) == reference_batch(shard)
 
     def test_victim_batch_matches_with_pinned_pages(self, cluster):
         shard = self.make_shard(cluster, "s", pages=8)
         shard.attributes.note_read_service(ReadingPattern.RANDOM_READ)
         shard.pin_page(shard.pages[0])
         shard.pin_page(shard.pages[3])
-        assert victim_batch_indexed(shard) == victim_batch(shard)
-        assert next_victim_indexed(shard) is next_victim(shard)
+        assert victim_batch(shard) == reference_batch(shard)
+        assert next_victim(shard) is reference_order(shard)[0]
 
     def test_dead_set_batch_matches_page_list_order(self, cluster):
         shard = self.make_shard(cluster, "s", pages=6)
         shard.attributes.end_lifetime()
-        assert victim_batch_indexed(shard) == victim_batch(shard)
+        assert victim_batch(shard) == shard.resident_unpinned_pages()
 
 
 class TestRecencyIndex:
@@ -302,7 +429,7 @@ class TestRecencyIndex:
             shard.unpin_page(page)
             pages.append(page)
         shard.pin_page(pages[2])
-        assert shard.resident_unpinned_count() == len(
+        assert shard.recency.evictable_count() == len(
             shard.resident_unpinned_pages()
         )
 
@@ -506,3 +633,9 @@ class TestReconcileInvariant:
         assert "cache(h/m)" in table
         # At least one set shows real cache activity.
         assert any("/" in line.split()[-1] for line in table.splitlines()[1:])
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(dump_golden(capture_all()))
+    print(f"wrote {len(CASES)} cases to {GOLDEN}")

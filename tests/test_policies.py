@@ -241,5 +241,6 @@ class TestPolicyFactory:
         assert policy is not None
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("clock-pro")
+        for name in ("clock-pro", "lru-x"):
+            with pytest.raises(ValueError, match="unknown paging policy"):
+                make_policy(name)
