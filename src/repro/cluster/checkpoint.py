@@ -63,15 +63,10 @@ def checkpoint(cluster: "PangeaCluster", directory: str) -> dict:
         shard_payloads: dict = {}
         for node_id in sorted(dataset.shards):
             shard = dataset.shards[node_id]
-            pages = []
-            for page in shard.pages:
-                records = page.records
-                if not records and page.on_disk:
-                    records, _cost = shard.file.read_page(page.page_id)
-                pages.append(
-                    {"records": list(records), "used_bytes": page.used_bytes}
-                )
-            shard_payloads[node_id] = pages
+            shard_payloads[node_id] = [
+                {"records": list(shard.read_records(page)), "used_bytes": page.used_bytes}
+                for page in shard.pages
+            ]
         payloads[name] = shard_payloads
     with open(os.path.join(directory, MANIFEST), "w") as handle:
         json.dump(manifest, handle, indent=2)

@@ -188,6 +188,20 @@ class LocalShard:
     def unpin_page(self, page: Page) -> None:
         self.pool.unpin(page)
 
+    def stored_records(self, page: Page) -> list:
+        """The page's records, or else its disk image read metadata-side
+        (no I/O charged, no checksum check; see :meth:`SetFile.peek_records`)."""
+        if not page.records and page.on_disk:
+            return self.file.peek_records(page.page_id)
+        return page.records
+
+    def read_records(self, page: Page) -> list:
+        """The page's records, or else its disk image read and checksum-verified
+        at the disk's cost, without placing the page in the pool."""
+        if not page.records and page.on_disk:
+            return self.file.read_page(page.page_id)[0]
+        return page.records
+
     def _read_repair(self, page: Page) -> list:
         """Rebuild a corrupted page image from surviving replica copies.
 
@@ -228,14 +242,10 @@ class LocalShard:
                 for source_page in shard.pages:
                     if not wanted:
                         break
-                    candidates = source_page.records
-                    if not candidates and source_page.on_disk:
-                        try:
-                            candidates, _cost = shard.file.read_page(
-                                source_page.page_id
-                            )
-                        except PageCorruptionError:
-                            continue  # this copy is damaged too; keep looking
+                    try:
+                        candidates = shard.read_records(source_page)
+                    except PageCorruptionError:
+                        continue  # this copy is damaged too; keep looking
                     if not candidates:
                         continue
                     shard.node.cpu.per_object(len(candidates))

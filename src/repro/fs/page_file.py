@@ -199,13 +199,9 @@ class SetFile:
     # data-file operations (all charge simulated disk time)
     # ------------------------------------------------------------------
 
-    def write_page(self, page_id: int, records: list, nbytes: int) -> float:
-        """Persist one page image; returns the simulated seconds charged.
-
-        The image's checksum is computed before the write and stored in the
-        meta file, so corruption of the stored image (injected or modeled)
-        is detected end-to-end on the next read.
-        """
+    def _store_image(self, page_id: int, records: list, nbytes: int) -> None:
+        """Checksum one page image, place its extent and record it in the
+        meta file (the write's bookkeeping; the disk charge is the caller's)."""
         checksum = page_checksum(records)
         existing = self._meta.get(page_id)
         if existing is not None and existing.allocated_bytes >= nbytes:
@@ -229,12 +225,26 @@ class SetFile:
             )
         self._meta[page_id] = location
         self._payloads[page_id] = list(records)
-        cost = self._with_retries(lambda: self.disks.write(nbytes, num_ios=1))
+
+    def _draw_corruptions(self, page_ids: "typing.Iterable[int]") -> None:
+        """Let the node's fault injector corrupt the images just written."""
         if self.owner is not None and self.owner.fault_injector is not None:
-            if self.owner.fault_injector.should_corrupt(
-                self.set_name, self.owner, page_id
-            ):
-                self.corrupt_image(page_id)
+            for page_id in page_ids:
+                if self.owner.fault_injector.should_corrupt(
+                    self.set_name, self.owner, page_id
+                ):
+                    self.corrupt_image(page_id)
+
+    def write_page(self, page_id: int, records: list, nbytes: int) -> float:
+        """Persist one page image; returns the simulated seconds charged.
+
+        The image's checksum is computed before the write and stored in the
+        meta file, so corruption of the stored image (injected or modeled)
+        is detected end-to-end on the next read.
+        """
+        self._store_image(page_id, records, nbytes)
+        cost = self._with_retries(lambda: self.disks.write(nbytes, num_ios=1))
+        self._draw_corruptions([page_id])
         return cost
 
     def write_many(self, entries: "list[tuple[int, list, int]]") -> float:
@@ -253,39 +263,11 @@ class SetFile:
         if len(entries) == 1:
             page_id, records, nbytes = entries[0]
             return self.write_page(page_id, records, nbytes)
-        sizes = []
         for page_id, records, nbytes in entries:
-            checksum = page_checksum(records)
-            existing = self._meta.get(page_id)
-            if existing is not None and existing.allocated_bytes >= nbytes:
-                location = replace(
-                    existing,
-                    nbytes=nbytes,
-                    checksum=checksum,
-                    extent_bytes=existing.allocated_bytes,
-                )
-            else:
-                if existing is not None:
-                    self._release_extent(existing)
-                disk_index, offset, extent = self._allocate_extent(nbytes)
-                location = PageLocation(
-                    page_id=page_id,
-                    disk_index=disk_index,
-                    offset=offset,
-                    nbytes=nbytes,
-                    checksum=checksum,
-                    extent_bytes=extent,
-                )
-            self._meta[page_id] = location
-            self._payloads[page_id] = list(records)
-            sizes.append(nbytes)
+            self._store_image(page_id, records, nbytes)
+        sizes = [nbytes for _page_id, _records, nbytes in entries]
         cost = self._with_retries(lambda: self.disks.write_many(sizes))
-        if self.owner is not None and self.owner.fault_injector is not None:
-            for page_id, _records, _nbytes in entries:
-                if self.owner.fault_injector.should_corrupt(
-                    self.set_name, self.owner, page_id
-                ):
-                    self.corrupt_image(page_id)
+        self._draw_corruptions(page_id for page_id, _records, _nbytes in entries)
         return cost
 
     def read_page(self, page_id: int) -> tuple[list, float]:

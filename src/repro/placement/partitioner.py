@@ -124,18 +124,12 @@ def partition_set(
     across nodes charge the sender's network link.  The target's partition
     scheme is registered in the statistics database.
     """
-    from repro.services.sequential import SequentialWriter, make_shard_iterators
+    from repro.services.sequential import ShardWriters, make_shard_iterators
 
     cluster = source.cluster
     num_nodes = len(target.shards)
     node_ids = sorted(target.shards)
-    writers = {
-        node_id: SequentialWriter(target.shards[node_id])
-        for node_id in node_ids
-    }
-    for writer in writers.values():
-        writer.attach()
-    try:
+    with ShardWriters(target, node_ids) as writers:
         for node_id in sorted(source.shards):
             shard = source.shards[node_id]
             pending_network = 0
@@ -145,7 +139,7 @@ def partition_set(
                         shard.node.cpu.per_object(1)
                         partition = partitioner.partition_of(record)
                         dest = node_ids[partition % num_nodes]
-                        writers[dest].add_object(record, source.object_bytes)
+                        writers.add_object(dest, record, source.object_bytes)
                         if dest != node_id:
                             pending_network += source.object_bytes
             if pending_network:
@@ -153,10 +147,6 @@ def partition_set(
                     pending_network,
                     num_messages=max(1, pending_network // (4 << 20)),
                 )
-    finally:
-        for writer in writers.values():
-            writer.flush()
-            writer.close()
     target.partition_scheme = partitioner.scheme()
     target.partitioner = partitioner
     cluster.manager.update_statistics(target)

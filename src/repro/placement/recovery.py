@@ -10,10 +10,12 @@ dedicated safety set.
 
 from __future__ import annotations
 
+import contextlib
 import typing
 from dataclasses import dataclass, field
 
-from repro.services.sequential import SequentialWriter, make_shard_iterators
+from repro.placement.replication import stable_index
+from repro.services.sequential import ShardWriters, make_shard_iterators
 from repro.sim.faults import fire_point
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -136,15 +138,12 @@ def _ids_lost_from(target: "LocalitySet", failed_node: int, object_id_fn) -> set
     object index, which we model from the failed shard's page images
     without charging data I/O (it is metadata the manager already holds).
     """
-    lost: set = set()
     shard = target.shards[failed_node]
-    for page in shard.pages:
-        records = page.records
-        if not records and page.on_disk:
-            records = shard.file.peek_records(page.page_id)
-        for record in records:
-            lost.add(object_id_fn(record))
-    return lost
+    return {
+        object_id_fn(record)
+        for page in shard.pages
+        for record in shard.stored_records(page)
+    }
 
 
 def _recover_replica(
@@ -159,15 +158,9 @@ def _recover_replica(
 ) -> int:
     is_lost = _lost_test(target, failed_node, lost_ids, group.object_id_fn)
     survivors = [nid for nid in sorted(target.shards) if nid != failed_node]
-    writers = {
-        nid: SequentialWriter(target.shards[nid], workers=workers)
-        for nid in survivors
-    }
-    for writer in writers.values():
-        writer.attach()
     recovered = 0
     recovered_ids: set = set()
-    try:
+    with ShardWriters(target, survivors, workers) as writers:
         for node_id in sorted(source.shards):
             if node_id == failed_node:
                 continue
@@ -184,10 +177,8 @@ def _recover_replica(
                         if object_id in recovered_ids:
                             continue
                         recovered_ids.add(object_id)
-                        dest = survivors[
-                            _dest_index(object_id, len(survivors))
-                        ]
-                        writers[dest].add_object(record, target.object_bytes)
+                        dest = survivors[stable_index(object_id, len(survivors))]
+                        writers.add_object(dest, record, target.object_bytes)
                         recovered += 1
                         if dest != node_id:
                             moved_bytes += target.object_bytes
@@ -196,10 +187,6 @@ def _recover_replica(
                     moved_bytes, num_messages=max(1, moved_bytes // (4 << 20))
                 )
                 report.bytes_transferred += moved_bytes
-    finally:
-        for writer in writers.values():
-            writer.flush()
-            writer.close()
     report.objects_recovered += recovered
     return recovered
 
@@ -227,18 +214,17 @@ def _recover_colliding(
     }
     if not lost_home_ids:
         return 0
-    writer_groups = []
+    targets = []
     for member in group.members:
         survivors = [nid for nid in sorted(member.shards) if nid != failed_node]
-        writers = {
-            nid: SequentialWriter(member.shards[nid], workers=workers)
-            for nid in survivors
-        }
-        for writer in writers.values():
-            writer.attach()
-        writer_groups.append((member, survivors, writers))
+        targets.append((member, survivors, ShardWriters(member, survivors, workers)))
     recovered = 0
-    try:
+    with contextlib.ExitStack() as stack:
+        # Every member's writers attach before the scan.  The stack retires
+        # them last in, first out, so enter the members back to front: they
+        # then flush and close front to back.
+        for _member, _survivors, writers in reversed(targets):
+            stack.enter_context(writers)
         for node_id in sorted(group.colliding_set.shards):
             if node_id == failed_node:
                 continue
@@ -250,20 +236,10 @@ def _recover_colliding(
                         object_id = object_id_fn(record)
                         if object_id not in lost_home_ids:
                             continue
-                        for member, survivors, writers in writer_groups:
-                            dest = survivors[_dest_index(object_id, len(survivors))]
-                            writers[dest].add_object(record, member.object_bytes)
+                        for member, survivors, writers in targets:
+                            dest = survivors[stable_index(object_id, len(survivors))]
+                            writers.add_object(dest, record, member.object_bytes)
                         recovered += 1
-    finally:
-        for _member, _survivors, writers in writer_groups:
-            for writer in writers.values():
-                writer.flush()
-                writer.close()
     report.objects_recovered += recovered * len(group.members)
     return recovered
 
-
-def _dest_index(object_id: object, modulus: int) -> int:
-    from repro.util import stable_hash
-
-    return stable_hash(object_id) % max(1, modulus)

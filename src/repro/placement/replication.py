@@ -12,6 +12,9 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass, field
 
+from repro.services.sequential import ShardWriters
+from repro.util import stable_hash
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.cluster.cluster import PangeaCluster
     from repro.core.locality_set import LocalitySet
@@ -72,10 +75,7 @@ def _object_nodes(dataset: "LocalitySet", object_id_fn) -> dict:
     placement: dict = {}
     for node_id, shard in dataset.shards.items():
         for page in shard.pages:
-            records = page.records
-            if not records and page.on_disk:
-                records, _cost = shard.file.read_page(page.page_id)
-            for record in records:
+            for record in shard.read_records(page):
                 placement.setdefault(object_id_fn(record), set()).add(node_id)
     return placement
 
@@ -124,9 +124,10 @@ def _index_page_images(group: ReplicationGroup) -> None:
             for page in shard.pages:
                 if not page.on_disk:
                     continue
-                records = page.records or shard.file.peek_records(page.page_id)
                 member.remember_page_ids(
-                    node_id, page.page_id, [object_id_fn(r) for r in records]
+                    node_id,
+                    page.page_id,
+                    [object_id_fn(r) for r in shard.stored_records(page)],
                 )
 
 
@@ -157,10 +158,7 @@ def _refresh_colliding_set(cluster: "PangeaCluster", group: ReplicationGroup) ->
     first = group.members[0]
     for node_id, shard in first.shards.items():
         for page in shard.pages:
-            records = page.records
-            if not records and page.on_disk:
-                records, _cost = shard.file.read_page(page.page_id)
-            for record in records:
+            for record in shard.read_records(page):
                 object_id = object_id_fn(record)
                 if object_id in colliding and object_id not in samples:
                     samples[object_id] = record
@@ -172,30 +170,20 @@ def _refresh_colliding_set(cluster: "PangeaCluster", group: ReplicationGroup) ->
         page_size=first.page_size,
         object_bytes=first.object_bytes,
     )
-    from repro.services.sequential import SequentialWriter
-
     node_ids = sorted(safety.shards)
-    writers = {nid: SequentialWriter(safety.shards[nid]) for nid in node_ids}
-    for writer in writers.values():
-        writer.attach()
-    try:
+    with ShardWriters(safety, node_ids) as writers:
         for object_id, record in samples.items():
             # HDFS-style: the safety copy lives on a *different* node.
             home = home_node[object_id]
             choices = [nid for nid in node_ids if nid != home] or node_ids
             dest = choices[stable_index(object_id, len(choices))]
-            writers[dest].add_object(record, first.object_bytes)
+            writers.add_object(dest, record, first.object_bytes)
             if dest != home:
                 first.shards[home].node.network.transfer(first.object_bytes)
-    finally:
-        for writer in writers.values():
-            writer.flush()
-            writer.close()
     group.colliding_set = safety
     cluster.barrier()
 
 
 def stable_index(object_id: object, modulus: int) -> int:
-    from repro.util import stable_hash
-
+    """The object's slot among ``modulus`` destinations (placement's one hash)."""
     return stable_hash(object_id) % max(1, modulus)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import typing
 
-from repro.placement.replication import ReplicationGroup
-from repro.services.sequential import SequentialWriter
+from repro.placement.replication import ReplicationGroup, stable_index
+from repro.services.sequential import ShardWriters, make_shard_iterators
 from repro.util import stable_hash
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -35,10 +35,7 @@ def object_node_spread(group: ReplicationGroup) -> dict:
     for member in members:
         for node_id, shard in member.shards.items():
             for page in shard.pages:
-                records = page.records
-                if not records and page.on_disk:
-                    records = shard.file.peek_records(page.page_id)
-                for record in records:
+                for record in shard.stored_records(page):
                     spread.setdefault(group.object_id_fn(record), set()).add(node_id)
     return spread
 
@@ -62,12 +59,9 @@ def ensure_r_safety(
     spread = object_node_spread(group)
     sample_of: dict = {}
     first = group.members[0]
-    for node_id, shard in first.shards.items():
+    for shard in first.shards.values():
         for page in shard.pages:
-            records = page.records
-            if not records and page.on_disk:
-                records = shard.file.peek_records(page.page_id)
-            for record in records:
+            for record in shard.stored_records(page):
                 sample_of.setdefault(group.object_id_fn(record), record)
 
     unsafe = {
@@ -87,11 +81,7 @@ def ensure_r_safety(
             object_bytes=first.object_bytes,
         )
     node_ids = sorted(safety.shards)
-    writers = {nid: SequentialWriter(safety.shards[nid]) for nid in node_ids}
-    for writer in writers.values():
-        writer.attach()
-    added = 0
-    try:
+    with ShardWriters(safety, node_ids) as writers:
         for oid, nodes in unsafe.items():
             record = sample_of.get(oid)
             if record is None:
@@ -102,15 +92,10 @@ def ensure_r_safety(
                 dest = candidates[
                     (stable_hash(oid) + index) % len(candidates)
                 ]
-                writers[dest].add_object(record, first.object_bytes)
+                writers.add_object(dest, record, first.object_bytes)
                 home = next(iter(nodes))
                 if dest != home:
                     first.shards[home].node.network.transfer(first.object_bytes)
-                added += 1
-    finally:
-        for writer in writers.values():
-            writer.flush()
-            writer.close()
     cluster.barrier()
     if safety not in group.extra_safety_sets:
         group.extra_safety_sets.append(safety)
@@ -149,8 +134,6 @@ def recover_concurrent_failures(
         for node_id, shard in source.shards.items():
             if node_id in failed:
                 continue
-            from repro.services.sequential import make_shard_iterators
-
             for iterator in make_shard_iterators(shard, workers):
                 for page in iterator:
                     for record in page.records:
@@ -166,30 +149,17 @@ def recover_concurrent_failures(
                 continue
             shard = member.shards[node_id]
             for page in shard.pages:
-                records = page.records
-                if not records and page.on_disk:
-                    records = shard.file.peek_records(page.page_id)
-                for record in records:
+                for record in shard.stored_records(page):
                     lost_ids.add(object_id_fn(record))
         alive = [nid for nid in sorted(member.shards) if nid not in failed]
-        writers = {
-            nid: SequentialWriter(member.shards[nid], workers=workers)
-            for nid in alive
-        }
-        for writer in writers.values():
-            writer.attach()
-        try:
+        with ShardWriters(member, alive, workers) as writers:
             for oid in lost_ids:
                 record = survivors.get(oid)
                 if record is None:
                     report["unrecoverable"] += 1
                     continue
-                dest = alive[stable_hash(oid) % len(alive)]
-                writers[dest].add_object(record, member.object_bytes)
+                dest = alive[stable_index(oid, len(alive))]
+                writers.add_object(dest, record, member.object_bytes)
                 report["recovered"] += 1
-        finally:
-            for writer in writers.values():
-                writer.flush()
-                writer.close()
     report["seconds"] = cluster.barrier() - start
     return report

@@ -15,6 +15,7 @@ from repro.services.sequential import (
     NodeFailedError,
     PageIterator,
     SequentialWriter,
+    ShardWriters,
     make_page_iterators,
     make_shard_iterators,
     resolve_readable_source,
@@ -25,6 +26,7 @@ __all__ = [
     "Dispatcher",
     "ImportReport",
     "SequentialWriter",
+    "ShardWriters",
     "PageIterator",
     "NodeFailedError",
     "make_page_iterators",

@@ -14,8 +14,8 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 
-from repro.services.sequential import SequentialWriter
-from repro.util import stable_hash
+from repro.placement.partitioner import HashPartitioner, RoundRobinPartitioner
+from repro.services.sequential import ShardWriters
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.locality_set import LocalitySet
@@ -54,42 +54,20 @@ class Dispatcher:
         self.dataset = dataset
         self.batch_bytes = batch_bytes
         self._node_ids = sorted(dataset.shards)
-        if isinstance(policy, str):
-            if policy == "round-robin":
-                self._route = self._route_round_robin
-            elif policy == "hash":
-                if key_fn is None:
-                    raise ValueError("hash dispatch needs a key_fn")
-                self._key_fn = key_fn
-                self._route = self._route_hash
-            else:
-                raise ValueError(
-                    f"unknown dispatch policy {policy!r} (round-robin|hash)"
-                )
+        num_nodes = len(self._node_ids)
+        #: Only a partition computation the caller passes in becomes the
+        #: set's partition scheme; the string policies are plain routing.
+        self._scheme: "PartitionComp | None" = None
+        if policy == "round-robin":
+            self._partitioner: "PartitionComp" = RoundRobinPartitioner(num_nodes)
+        elif policy == "hash":
+            if key_fn is None:
+                raise ValueError("hash dispatch needs a key_fn")
+            self._partitioner = HashPartitioner(key_fn, num_nodes)
+        elif isinstance(policy, str):
+            raise ValueError(f"unknown dispatch policy {policy!r} (round-robin|hash)")
         else:
-            self._partitioner = policy
-            self._route = self._route_partitioner
-        self._cursor = 0
-
-    # ------------------------------------------------------------------
-    # routing policies
-    # ------------------------------------------------------------------
-
-    def _route_round_robin(self, record: object) -> int:
-        node_id = self._node_ids[self._cursor % len(self._node_ids)]
-        self._cursor += 1
-        return node_id
-
-    def _route_hash(self, record: object) -> int:
-        return self._node_ids[stable_hash(self._key_fn(record)) % len(self._node_ids)]
-
-    def _route_partitioner(self, record: object) -> int:
-        partition = self._partitioner.partition_of(record)
-        return self._node_ids[partition % len(self._node_ids)]
-
-    # ------------------------------------------------------------------
-    # the import
-    # ------------------------------------------------------------------
+            self._partitioner = self._scheme = policy
 
     def import_data(
         self,
@@ -105,34 +83,29 @@ class Dispatcher:
         cluster = self.dataset.cluster
         start = cluster.barrier()
         nbytes = self.dataset.object_bytes if nbytes_each is None else nbytes_each
-        writers = {
-            nid: SequentialWriter(self.dataset.shards[nid])
-            for nid in self._node_ids
-        }
-        for writer in writers.values():
-            writer.attach()
+        node_ids = self._node_ids
+        route = self._partitioner.partition_of
         report = ImportReport()
-        pending_bytes = {nid: 0 for nid in self._node_ids}
-        try:
-            for record in records:
-                node_id = self._route(record)
-                writers[node_id].add_object(record, nbytes)
-                report.records += 1
-                report.bytes += nbytes
-                report.per_node[node_id] = report.per_node.get(node_id, 0) + 1
-                pending_bytes[node_id] += nbytes
-                if pending_bytes[node_id] >= self.batch_bytes:
-                    self._ship(node_id, pending_bytes[node_id])
-                    pending_bytes[node_id] = 0
-        finally:
-            for node_id, writer in writers.items():
-                if pending_bytes[node_id]:
-                    self._ship(node_id, pending_bytes[node_id])
-                writer.flush()
-                writer.close()
-        if self.dataset.partitioner is None and hasattr(self, "_partitioner"):
-            self.dataset.partitioner = self._partitioner
-            self.dataset.partition_scheme = self._partitioner.scheme()
+        pending_bytes = {nid: 0 for nid in node_ids}
+        with ShardWriters(self.dataset, node_ids) as writers:
+            try:
+                for record in records:
+                    node_id = node_ids[route(record) % len(node_ids)]
+                    writers.add_object(node_id, record, nbytes)
+                    report.records += 1
+                    report.bytes += nbytes
+                    report.per_node[node_id] = report.per_node.get(node_id, 0) + 1
+                    pending_bytes[node_id] += nbytes
+                    if pending_bytes[node_id] >= self.batch_bytes:
+                        self._ship(node_id, pending_bytes[node_id])
+                        pending_bytes[node_id] = 0
+            finally:
+                for node_id, pending in pending_bytes.items():
+                    if pending:
+                        self._ship(node_id, pending)
+        if self.dataset.partitioner is None and self._scheme is not None:
+            self.dataset.partitioner = self._scheme
+            self.dataset.partition_scheme = self._scheme.scheme()
             cluster.manager.update_statistics(self.dataset)
         report.seconds = cluster.barrier() - start
         return report

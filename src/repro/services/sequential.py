@@ -164,6 +164,41 @@ class SequentialWriter:
             self._page = None
 
 
+class ShardWriters:
+    """One :class:`SequentialWriter` per node of a set, used as one writer.
+
+    Entering attaches a writer to each shard in ``node_ids`` order; leaving,
+    also on error, flushes and then closes each writer in that same order.
+    Callers route every record themselves and charge their own network
+    transfers:
+
+    >>> with ShardWriters(dataset, [0, 1]) as writers:   # doctest: +SKIP
+    ...     writers.add_object(1, record, nbytes=80)
+    """
+
+    def __init__(
+        self, dataset: "LocalitySet", node_ids: "list[int]", workers: int = 1
+    ) -> None:
+        self._writers = {
+            node_id: SequentialWriter(dataset.shards[node_id], workers=workers)
+            for node_id in node_ids
+        }
+
+    def __enter__(self) -> "ShardWriters":
+        for writer in self._writers.values():
+            writer.attach()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        for writer in self._writers.values():
+            writer.flush()
+            writer.close()
+
+    def add_object(self, node_id: int, record: object, nbytes: int) -> None:
+        """Sequential-write one record to the shard on ``node_id``."""
+        self._writers[node_id].add_object(record, nbytes)
+
+
 class _SharedCursor:
     """The thread-safe circular buffer the computation workers pull from.
 
@@ -371,9 +406,4 @@ def make_page_iterators(dataset: "LocalitySet", num_threads: int = 1) -> list[Pa
                            pages=len(shard.pages), threads=num_threads)
         pages.extend(shard.pages)
     cursor = _SharedCursor(pages, source)
-    iterators = [PageIterator(cursor, num_threads) for _ in range(num_threads)]
-    if not pages:
-        # No pages: retire the read attachment immediately via one iterator
-        # drain so attributes do not stay stuck at "read".
-        pass
-    return iterators
+    return [PageIterator(cursor, num_threads) for _ in range(num_threads)]
