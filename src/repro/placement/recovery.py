@@ -91,13 +91,8 @@ def recover_node(
     for target in group.members:
         if failed_node not in target.shards:
             continue
-        source = _pick_source(group, target)
-        lost_ids = None
-        if target.partitioner is None:
-            lost_ids = _ids_lost_from(target, failed_node, object_id_fn)
         recovered = _recover_replica(
-            cluster, group, source, target, failed_node, lost_ids, report,
-            workers=workers,
+            cluster, group, target, failed_node, report, workers=workers
         )
         report.replicas_recovered.append((target.name, recovered))
 
@@ -123,13 +118,6 @@ def recover_node(
     return report
 
 
-def _pick_source(group: "ReplicationGroup", target: "LocalitySet") -> "LocalitySet":
-    for member in group.members:
-        if member is not target:
-            return member
-    raise ValueError("a replication group needs at least two members to recover")
-
-
 def _ids_lost_from(target: "LocalitySet", failed_node: int, object_id_fn) -> set:
     """Ids whose target copy was on the failed node (metadata-side scan).
 
@@ -146,49 +134,74 @@ def _ids_lost_from(target: "LocalitySet", failed_node: int, object_id_fn) -> set
     }
 
 
+def _colliding_lost_on(group: "ReplicationGroup", failed_node: int) -> set:
+    """Colliding ids homed on the failed node: lost from every member."""
+    return {oid for oid, home in group.colliding_home.items() if home == failed_node}
+
+
 def _recover_replica(
     cluster: "PangeaCluster",
     group: "ReplicationGroup",
-    source: "LocalitySet",
     target: "LocalitySet",
     failed_node: int,
-    lost_ids: "set | None",
     report: RecoveryReport,
     workers: int = 8,
 ) -> int:
-    is_lost = _lost_test(target, failed_node, lost_ids, group.object_id_fn)
+    """Re-dispatch the target's lost records from the other members.
+
+    The first other member is scanned for every lost record.  Records the
+    target lost together with that source (both copies on the failed node)
+    are then looked up in the next members, scanning each only while ids
+    are still missing; colliding ids are left to the safety set.
+    """
+    object_id_fn = group.object_id_fn
+    sources = [member for member in group.members if member is not target]
+    if not sources:
+        raise ValueError("a replication group needs at least two members to recover")
+    lost_ids = None
+    if target.partitioner is None or len(sources) > 1:
+        lost_ids = _ids_lost_from(target, failed_node, object_id_fn)
     survivors = [nid for nid in sorted(target.shards) if nid != failed_node]
-    recovered = 0
     recovered_ids: set = set()
     with ShardWriters(target, survivors, workers) as writers:
-        for node_id in sorted(source.shards):
-            if node_id == failed_node:
-                continue
-            shard = source.shards[node_id]
-            fire_point(shard.node, "mid-recovery")
-            moved_bytes = 0
-            for iterator in make_shard_iterators(shard, workers):
-                for page in iterator:
-                    for record in page.records:
-                        shard.node.cpu.per_object(1, workers=workers, factor=2.0)
-                        if not is_lost(record):
-                            continue
-                        object_id = group.object_id_fn(record)
-                        if object_id in recovered_ids:
-                            continue
-                        recovered_ids.add(object_id)
-                        dest = survivors[stable_index(object_id, len(survivors))]
-                        writers.add_object(dest, record, target.object_bytes)
-                        recovered += 1
-                        if dest != node_id:
-                            moved_bytes += target.object_bytes
-            if moved_bytes:
-                shard.node.network.transfer(
-                    moved_bytes, num_messages=max(1, moved_bytes // (4 << 20))
-                )
-                report.bytes_transferred += moved_bytes
-    report.objects_recovered += recovered
-    return recovered
+
+        def copy_lost(source: "LocalitySet", is_lost) -> None:
+            for node_id in sorted(source.shards):
+                if node_id == failed_node:
+                    continue
+                shard = source.shards[node_id]
+                fire_point(shard.node, "mid-recovery")
+                moved_bytes = 0
+                for iterator in make_shard_iterators(shard, workers):
+                    for page in iterator:
+                        for record in page.records:
+                            shard.node.cpu.per_object(1, workers=workers, factor=2.0)
+                            if not is_lost(record):
+                                continue
+                            object_id = object_id_fn(record)
+                            if object_id in recovered_ids:
+                                continue
+                            recovered_ids.add(object_id)
+                            dest = survivors[stable_index(object_id, len(survivors))]
+                            writers.add_object(dest, record, target.object_bytes)
+                            if dest != node_id:
+                                moved_bytes += target.object_bytes
+                if moved_bytes:
+                    shard.node.network.transfer(
+                        moved_bytes, num_messages=max(1, moved_bytes // (4 << 20))
+                    )
+                    report.bytes_transferred += moved_bytes
+
+        copy_lost(sources[0], _lost_test(target, failed_node, lost_ids, object_id_fn))
+        if len(sources) > 1:
+            missing = lost_ids - recovered_ids - _colliding_lost_on(group, failed_node)
+            for source in sources[1:]:
+                if not missing:
+                    break
+                copy_lost(source, lambda record: object_id_fn(record) in missing)
+                missing -= recovered_ids
+    report.objects_recovered += len(recovered_ids)
+    return len(recovered_ids)
 
 
 def _recover_colliding(
@@ -207,11 +220,7 @@ def _recover_colliding(
     if group.colliding_set is None or not group.colliding_ids:
         return 0
     object_id_fn = group.object_id_fn
-    lost_home_ids = {
-        oid
-        for oid, home in group.colliding_home.items()
-        if home == failed_node
-    }
+    lost_home_ids = _colliding_lost_on(group, failed_node)
     if not lost_home_ids:
         return 0
     targets = []

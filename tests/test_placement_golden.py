@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 import typing
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -335,6 +336,25 @@ def test_pool_spills_in_every_case(golden):
             continue
         assert sum(evictions for evictions, _ in observed["pool"]) > 0, name
     assert sum(p for _, p in golden["recover_node_2"]["pool"]) > 0
+
+
+def test_recover_node_restores_three_member_groups():
+    """After recovery every member of a three-member group holds every id
+    exactly once (no id lost with both a target and its first source)."""
+    for build, failed_node in ((three_members, 1), (three_partitioned, 2)):
+        cluster = make_cluster()
+        group = build(cluster)
+        recover_node(cluster, group, failed_node=failed_node)
+        for member in group.members:
+            ids = Counter(
+                record["id"]
+                for node_id, shard in member.shards.items()
+                if node_id != failed_node
+                for page in shard.pages
+                for record in stored_records(shard, page)
+            )
+            assert set(ids) == set(range(ROWS)), member.name
+            assert set(ids.values()) == {1}, member.name
 
 
 if __name__ == "__main__":
