@@ -64,7 +64,10 @@ def checkpoint(cluster: "PangeaCluster", directory: str) -> dict:
         for node_id in sorted(dataset.shards):
             shard = dataset.shards[node_id]
             shard_payloads[node_id] = [
-                {"records": list(shard.read_records(page)), "used_bytes": page.used_bytes}
+                {
+                    "records": list(shard.read_records(page)),
+                    "used_bytes": page.used_bytes,
+                }
                 for page in shard.pages
             ]
         payloads[name] = shard_payloads

@@ -3,9 +3,10 @@
 To recover a target replica after a node failure, the system picks any
 other replica in the group as the source, runs the target's partitioner
 over the source's surviving records to find the ones whose target copy
-lived on the failed node, and re-dispatches them.  Objects that were lost
-from *every* replica (colliding objects) are recovered from the group's
-dedicated safety set.
+lived on the failed node, and re-dispatches them.  In groups of three or
+more, records the target lost together with that source are found in the
+remaining members.  Objects that were lost from *every* replica
+(colliding objects) are recovered from the group's dedicated safety set.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ def recover_node(
     if not node.failed:
         node.fail()
     start = cluster.barrier()
-    object_id_fn = group.object_id_fn
     report = RecoveryReport(failed_node=failed_node)
 
     for target in group.members:

@@ -124,11 +124,8 @@ def _index_page_images(group: ReplicationGroup) -> None:
             for page in shard.pages:
                 if not page.on_disk:
                     continue
-                member.remember_page_ids(
-                    node_id,
-                    page.page_id,
-                    [object_id_fn(r) for r in shard.stored_records(page)],
-                )
+                ids = [object_id_fn(r) for r in shard.stored_records(page)]
+                member.remember_page_ids(node_id, page.page_id, ids)
 
 
 def _refresh_colliding_set(cluster: "PangeaCluster", group: ReplicationGroup) -> None:

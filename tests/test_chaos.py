@@ -15,9 +15,11 @@ schedules; any failure is reproducible locally by exporting the seed.
 """
 
 import os
+from collections import Counter
 
 from repro import FaultConfig, FaultInjector, MachineProfile, PangeaCluster
 from repro.placement.partitioner import HashPartitioner, partition_set
+from repro.placement.recovery import recover_node
 from repro.placement.replication import register_replica
 from repro.query.operators import ScanNode
 from repro.query.scheduler import QueryScheduler
@@ -27,6 +29,13 @@ from repro.sim.metrics import aggregate_robustness
 SEED = int(os.environ.get("PANGEA_FAULT_SEED", "20260805"))
 ROWS = 600
 QUERY_ROWS = 4000
+RATE_FAULTS = FaultConfig(
+    disk_read_error_rate=0.08,
+    disk_write_error_rate=0.08,
+    disk_latency_spike_rate=0.05,
+    net_drop_rate=0.08,
+    net_slow_rate=0.05,
+)
 
 
 def run_chaos(seed):
@@ -34,16 +43,7 @@ def run_chaos(seed):
         num_nodes=4, profile=MachineProfile.tiny(pool_bytes=32 * MB)
     )
     cluster.enable_self_healing()
-    injector = FaultInjector(
-        seed=seed,
-        config=FaultConfig(
-            disk_read_error_rate=0.08,
-            disk_write_error_rate=0.08,
-            disk_latency_spike_rate=0.05,
-            net_drop_rate=0.08,
-            net_slow_rate=0.05,
-        ),
-    ).attach(cluster)
+    injector = FaultInjector(seed=seed, config=RATE_FAULTS).attach(cluster)
 
     # A lineitem-style slice, loaded and partitioned two ways under
     # transient faults (every write/transfer below may be retried).
@@ -115,16 +115,7 @@ def run_query_chaos(seed):
     )
     injector = None
     if seed is not None:
-        injector = FaultInjector(
-            seed=seed,
-            config=FaultConfig(
-                disk_read_error_rate=0.08,
-                disk_write_error_rate=0.08,
-                disk_latency_spike_rate=0.05,
-                net_drop_rate=0.08,
-                net_slow_rate=0.05,
-            ),
-        ).attach(cluster)
+        injector = FaultInjector(seed=seed, config=RATE_FAULTS).attach(cluster)
     orders = cluster.create_set("orders", page_size=4 * KB, object_bytes=100)
     orders.add_data(
         [{"orderkey": i, "cust": i % 13} for i in range(QUERY_ROWS // 4)]
@@ -165,6 +156,38 @@ def run_query_chaos(seed):
     }
 
 
+def run_recovery_chaos(seed):
+    """Load, partition and recover a three-member group under rate faults.
+
+    Returns every member's id counts after node 1 is recovered, with the
+    clocks and fault statistics for the replay check.
+    """
+    cluster = PangeaCluster(
+        num_nodes=4, profile=MachineProfile.tiny(pool_bytes=32 * MB)
+    )
+    injector = FaultInjector(seed=seed, config=RATE_FAULTS).attach(cluster)
+    src = cluster.create_set("lineitem", page_size=64 * KB, object_bytes=100)
+    src.add_data(
+        [{"id": i, "orderkey": i // 4, "suppkey": (i * 131) % 997} for i in range(ROWS)]
+    )
+    group = None
+    for key in ("orderkey", "suppkey"):
+        replica = cluster.create_set(f"li_by_{key}", page_size=64 * KB, object_bytes=100)
+        partition_set(src, replica, HashPartitioner(lambda r, k=key: r[k], 16, key_name=key))
+        group = register_replica(src, replica, object_id_fn=lambda r: r["id"], group=group)
+    report = recover_node(cluster, group, failed_node=1)
+    counts = {
+        member.name: Counter(record["id"] for record in member.scan_records())
+        for member in group.members
+    }
+    return {
+        "counts": counts,
+        "recovered": report.objects_recovered,
+        "clocks": [node.clock.now.hex() for node in cluster.nodes],
+        "injected": injector.stats.as_dict(),
+    }
+
+
 class TestChaos:
     def test_chaos_job_survives_and_heals(self):
         stats, injected, _seconds = run_chaos(SEED)
@@ -193,3 +216,16 @@ class TestChaos:
 
     def test_query_chaos_replay_is_bit_identical(self):
         assert run_query_chaos(SEED) == run_query_chaos(SEED)
+
+    def test_three_member_recovery_under_faults_is_complete(self):
+        result = run_recovery_chaos(SEED)
+        assert len(result["counts"]) == 3
+        for name, counts in result["counts"].items():
+            assert set(counts) == set(range(ROWS)), name
+            assert set(counts.values()) == {1}, name
+        assert result["recovered"] > 0
+        injected = result["injected"]
+        assert injected["disk_write_faults"] + injected["net_drops"] >= 1
+
+    def test_three_member_recovery_replay_is_bit_identical(self):
+        assert run_recovery_chaos(SEED) == run_recovery_chaos(SEED)
