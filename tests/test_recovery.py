@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MachineProfile, PangeaCluster
+from repro.services.sequential import SequentialWriter
 from repro.placement.partitioner import HashPartitioner, partition_set
 from repro.placement.recovery import recover_node
 from repro.placement.replication import register_replica
@@ -163,3 +164,33 @@ class TestRecoveryEdgeCases:
         assert surviving_ids(rep_a, 0) == set(range(900))
         for node in cluster.alive_nodes():
             node.pool.check_invariants()
+
+    def test_colliding_writers_attach_first_and_retire_member_by_member(
+        self, monkeypatch
+    ):
+        """Colliding recovery writes every member at once: all members'
+        writers attach before the safety-set scan, and on exit the members
+        flush and close front to back (the order the fault RNG sees)."""
+        cluster, group, src, rep_a, rep_b = build()
+        calls = []
+        for name in ("attach", "flush", "close"):
+            original = getattr(SequentialWriter, name)
+
+            def spy(self, _name=name, _original=original):
+                calls.append((_name, self.shard.dataset.name, self.shard.node.node_id))
+                return _original(self)
+
+            monkeypatch.setattr(SequentialWriter, name, spy)
+        report = recover_node(cluster, group, failed_node=2)
+        assert report.colliding_recovered > 0
+        # The colliding pass is the last group of writer calls: one attach,
+        # flush and close per member and survivor.
+        tail = calls[-18:]
+        assert {name for name, _set, _node in tail[:6]} == {"attach"}
+        assert tail[6:] == [
+            (op, member, node)
+            for member in ("rep_a", "rep_b")
+            for node in (0, 1, 3)
+            for op in ("flush", "close")
+        ]
+

@@ -6,6 +6,7 @@ from repro import CurrentOperation, MachineProfile, PangeaCluster, ReadingPatter
 from repro.services.sequential import (
     PageIterator,
     SequentialWriter,
+    ShardWriters,
     make_page_iterators,
     make_shard_iterators,
 )
@@ -66,6 +67,40 @@ class TestSequentialWriter:
         with SequentialWriter(data.shards[0]) as writer:
             writer.add_data(["x"] * 1000, nbytes_each=100)
         assert cluster.nodes[0].clock.now > before
+
+
+class TestShardWriters:
+    def test_routes_records_to_the_named_node(self, cluster):
+        data = cluster.create_set("s", page_size=1 * MB)
+        with ShardWriters(data, [0, 1]) as writers:
+            writers.add_object(1, "x", nbytes=100)
+            writers.add_object(1, "y", nbytes=100)
+            writers.add_object(0, "z", nbytes=100)
+        assert data.shards[0].num_objects == 1
+        assert data.shards[1].num_objects == 2
+        assert all(page.sealed for shard in data.shards.values() for page in shard.pages)
+
+    def test_flushes_then_closes_in_node_order_also_on_error(self, cluster, monkeypatch):
+        data = cluster.create_set("s", page_size=1 * MB)
+        calls = []
+        for name in ("attach", "flush", "close"):
+            original = getattr(SequentialWriter, name)
+
+            def spy(self, _name=name, _original=original):
+                calls.append((_name, self.shard.node.node_id))
+                return _original(self)
+
+            monkeypatch.setattr(SequentialWriter, name, spy)
+        with pytest.raises(RuntimeError, match="mid-import"):
+            with ShardWriters(data, [1, 0]) as writers:
+                writers.add_object(0, "x", nbytes=100)
+                raise RuntimeError("mid-import failure")
+        assert calls == [
+            ("attach", 1), ("attach", 0),
+            ("flush", 1), ("close", 1), ("flush", 0), ("close", 0),
+        ]
+        assert data.active_writers == 0
+        assert data.attributes.current_operation is CurrentOperation.NONE
 
 
 class TestPageIterators:
