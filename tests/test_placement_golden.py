@@ -254,6 +254,11 @@ CASES = {
 
 
 def stored_records(shard, page):
+    """A page's records, else its disk image, read without charging I/O.
+
+    Written out here rather than calling ``LocalShard.stored_records``, so
+    the digest does not depend on the code it checks.
+    """
     records = page.records
     if not records and page.on_disk:
         records = shard.file.peek_records(page.page_id)
