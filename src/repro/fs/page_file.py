@@ -16,12 +16,13 @@ storage manager needs:
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 import typing
 from dataclasses import dataclass, replace
 
 from repro.sim.devices import DiskArray
 from repro.sim.faults import PageCorruptionError, RetryPolicy, TransientDiskError
-from repro.util import stable_hash
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import WorkerNode
@@ -30,13 +31,25 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 def page_checksum(records: list) -> int:
     """Order-sensitive 64-bit checksum of a page payload.
 
-    Built from :func:`repro.util.stable_hash` so it is reproducible across
-    processes (Python's ``hash`` is randomized per process).
+    The payload is encoded in one pass by ``pickle`` (protocol 5) and the
+    bytes are hashed with BLAKE2b cut to 8 bytes.  The encoding is exact:
+    numpy arrays contribute their dtype, shape and raw element bytes, and
+    floats their full IEEE-754 bits, so a one-ULP change to any element of
+    any array is caught.  Both steps are deterministic across processes for
+    the record types pages hold (dicts, lists, tuples, strings, numbers,
+    arrays); a ``set`` record would not be, since its iteration order
+    follows the per-process string hash.
+
+    The checksum covers the exact objects stored, shared references
+    included, so it must be taken over the same record objects that are
+    later verified.  Records must be picklable; an unpicklable payload
+    raises :class:`TypeError`.
     """
-    acc = 0xCBF29CE484222325
-    for record in records:
-        acc = ((acc ^ stable_hash(repr(record))) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return acc
+    try:
+        encoded = pickle.dumps(records, protocol=5)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise TypeError(f"page records must be picklable: {exc}") from exc
+    return int.from_bytes(hashlib.blake2b(encoded, digest_size=8).digest(), "little")
 
 
 #: Sentinel injected into corrupted payloads; never equal to a user record.
@@ -199,10 +212,11 @@ class SetFile:
     # data-file operations (all charge simulated disk time)
     # ------------------------------------------------------------------
 
-    def _store_image(self, page_id: int, records: list, nbytes: int) -> None:
-        """Checksum one page image, place its extent and record it in the
+    def _store_image(
+        self, page_id: int, records: list, nbytes: int, checksum: int
+    ) -> None:
+        """Place one checksummed page image's extent and record it in the
         meta file (the write's bookkeeping; the disk charge is the caller's)."""
-        checksum = page_checksum(records)
         existing = self._meta.get(page_id)
         if existing is not None and existing.allocated_bytes >= nbytes:
             location = replace(
@@ -240,9 +254,10 @@ class SetFile:
 
         The image's checksum is computed before the write and stored in the
         meta file, so corruption of the stored image (injected or modeled)
-        is detected end-to-end on the next read.
+        is detected end-to-end on the next read.  A payload that cannot be
+        checksummed raises before the meta file or any extent is touched.
         """
-        self._store_image(page_id, records, nbytes)
+        self._store_image(page_id, records, nbytes, page_checksum(records))
         cost = self._with_retries(lambda: self.disks.write(nbytes, num_ios=1))
         self._draw_corruptions([page_id])
         return cost
@@ -256,15 +271,18 @@ class SetFile:
         charge differs — one striped sequential write covering every
         image (one seek) via :meth:`DiskArray.write_many
         <repro.sim.devices.DiskArray.write_many>` instead of one
-        operation per page.  Used by the batched victim-flush path.
+        operation per page.  Every image is checksummed before any is
+        stored, so an unpicklable payload leaves the file untouched.  Used
+        by the batched victim-flush path.
         """
         if not entries:
             return 0.0
         if len(entries) == 1:
             page_id, records, nbytes = entries[0]
             return self.write_page(page_id, records, nbytes)
-        for page_id, records, nbytes in entries:
-            self._store_image(page_id, records, nbytes)
+        checksums = [page_checksum(records) for _page_id, records, _nbytes in entries]
+        for (page_id, records, nbytes), checksum in zip(entries, checksums):
+            self._store_image(page_id, records, nbytes, checksum)
         sizes = [nbytes for _page_id, _records, nbytes in entries]
         cost = self._with_retries(lambda: self.disks.write_many(sizes))
         self._draw_corruptions(page_id for page_id, _records, _nbytes in entries)
@@ -285,8 +303,7 @@ class SetFile:
         cost = self._with_retries(
             lambda: self.disks.read(location.nbytes, num_ios=1)
         )
-        payload = list(self._payloads[page_id])
-        if page_checksum(payload) != location.checksum:
+        if not self.image_intact(page_id):
             if self.owner is not None:
                 self.owner.robustness.corruptions_detected += 1
             where = (
@@ -296,7 +313,14 @@ class SetFile:
                 f"checksum mismatch for page {page_id} of set "
                 f"{self.set_name!r}{where}: the on-disk image is corrupt"
             )
-        return payload, cost
+        return list(self._payloads[page_id]), cost
+
+    def image_intact(self, page_id: int) -> bool:
+        """Whether the stored image still matches its meta-file checksum.
+
+        A metadata-side check: no I/O is charged and no counter moves.
+        """
+        return page_checksum(self._payloads[page_id]) == self._meta[page_id].checksum
 
     def peek_records(self, page_id: int) -> list:
         """Surviving on-disk records of one page, metadata-side.

@@ -13,6 +13,7 @@ import typing
 from dataclasses import dataclass, field
 
 from repro.services.sequential import ShardWriters
+from repro.sim.faults import PageCorruptionError
 from repro.util import stable_hash
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -75,9 +76,18 @@ def _object_nodes(dataset: "LocalitySet", object_id_fn) -> dict:
     placement: dict = {}
     for node_id, shard in dataset.shards.items():
         for page in shard.pages:
-            for record in shard.read_records(page):
+            for record in _intact_records(shard, page):
                 placement.setdefault(object_id_fn(record), set()).add(node_id)
     return placement
+
+
+def _intact_records(shard, page) -> list:
+    """The page's records, read and checksum-verified; a corrupt disk image
+    reads as empty, as if its objects were lost with a crashed node."""
+    try:
+        return shard.read_records(page)
+    except PageCorruptionError:
+        return []
 
 
 def register_replica(
@@ -114,7 +124,12 @@ def _index_page_images(group: ReplicationGroup) -> None:
 
     Pages persisted before the set joined the group were never indexed by
     ``note_page_image``; this scan fixes that using the metadata-side
-    payload view (no data I/O is charged).
+    payload view (no data I/O is charged).  An evicted page whose disk
+    image fails its checksum is not indexed from that payload: without an
+    index from when it was persisted, reading it raises
+    :class:`~repro.sim.faults.PageCorruptionError` rather than "repairing"
+    the page to the ids of its corrupt payload.  Resident pages are
+    indexed from their records, which are not re-checksummed.
     """
     object_id_fn = group.object_id_fn
     if object_id_fn is None:
@@ -123,6 +138,8 @@ def _index_page_images(group: ReplicationGroup) -> None:
         for node_id, shard in member.shards.items():
             for page in shard.pages:
                 if not page.on_disk:
+                    continue
+                if not page.records and not shard.file.image_intact(page.page_id):
                     continue
                 ids = [object_id_fn(r) for r in shard.stored_records(page)]
                 member.remember_page_ids(node_id, page.page_id, ids)
@@ -155,7 +172,7 @@ def _refresh_colliding_set(cluster: "PangeaCluster", group: ReplicationGroup) ->
     first = group.members[0]
     for node_id, shard in first.shards.items():
         for page in shard.pages:
-            for record in shard.read_records(page):
+            for record in _intact_records(shard, page):
                 object_id = object_id_fn(record)
                 if object_id in colliding and object_id not in samples:
                     samples[object_id] = record

@@ -1,5 +1,11 @@
 """Tests for deterministic fault injection, retries, and page integrity."""
 
+import os
+import subprocess
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -9,11 +15,11 @@ from repro import (
     PageCorruptionError,
     PangeaCluster,
 )
-from repro.fs.page_file import SetFile, page_checksum
+from repro.fs.page_file import CORRUPTION_SENTINEL, SetFile, page_checksum
 from repro.placement.partitioner import HashPartitioner, partition_set
 from repro.placement.replication import register_replica
 from repro.sim.clock import SimClock
-from repro.sim.devices import MB, DiskArray, DiskDevice
+from repro.sim.devices import KB, MB, DiskArray, DiskDevice
 from repro.sim.faults import TransientDiskError
 
 
@@ -212,6 +218,59 @@ class TestPageIntegrity:
         assert page_checksum(["a", "b"]) != page_checksum(["b", "a"])
         assert page_checksum(["a"]) != page_checksum(["a", "a"])
 
+    def test_checksum_covers_the_middle_of_large_arrays(self):
+        """numpy's repr elides all but the ends of arrays over 1000 elements."""
+        points = np.arange(5000, dtype=np.float64)
+        changed = points.copy()
+        changed[2500] += 1.0
+        assert page_checksum([points]) != page_checksum([changed])
+
+    def test_checksum_is_bit_exact_for_floats(self):
+        """numpy's repr rounds to 8 significant digits."""
+        assert page_checksum([np.array([1.0])]) != page_checksum([np.array([1.0 + 1e-12])])
+
+    def test_checksum_is_stable_across_processes(self):
+        """String hashing is salted per process; the checksum must not be."""
+        script = (
+            "from repro.fs.page_file import page_checksum; import numpy as np; "
+            "print(page_checksum([{'l_comment': 'line', 'l_tax': 0.05}, "
+            "(np.arange(4.0), 2.5), (7, 3), 'x']))"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        values = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(values) == 1
+
+    def test_one_ulp_change_to_a_stored_array_detected_on_read(self, disks):
+        handle = SetFile("s", disks)
+        point = np.linspace(0.0, 1.0, 8)
+        handle.write_page(1, [point, (point * 2.0, 0.5)], 1 * MB)
+        point[3] = np.nextafter(point[3], np.inf)
+        with pytest.raises(PageCorruptionError):
+            handle.read_page(1)
+
+    def test_unpicklable_payload_leaves_the_file_untouched(self, disks):
+        handle = SetFile("s", disks)
+        handle.write_page(1, ["a"], 1 * MB)
+        footprint = (handle.bytes_on_disk, handle.disk_head_bytes, disks.total_bytes_written())
+        with pytest.raises(TypeError, match="picklable"):
+            handle.write_page(2, [threading.Lock()], 1 * MB)
+        with pytest.raises(TypeError, match="picklable"):
+            handle.write_page(1, ["b", threading.Lock()], 2 * MB)
+        with pytest.raises(TypeError, match="picklable"):
+            handle.write_many([(3, ["c"], 1 * MB), (4, [threading.Lock()], 1 * MB)])
+        for page_id in (2, 3, 4):
+            assert not handle.contains(page_id)
+        handle.assert_extent_accounting()
+        assert (handle.bytes_on_disk, handle.disk_head_bytes, disks.total_bytes_written()) == footprint
+        assert handle.read_page(1)[0] == ["a"]
+
     def test_corrupt_image_detected_on_read(self, disks):
         handle = SetFile("s", disks)
         handle.write_page(1, ["a", "b", "c"], 1 * MB)
@@ -300,3 +359,45 @@ class TestReadRepair:
         other.file.corrupt_image(page.page_id)
         records = list(rep_a.scan_records())
         assert {r["id"] for r in records} == set(range(600))
+
+
+class TestCorruptImagesAtRegistration:
+    """Replicas loaded while images are being corrupted can still join a
+    group: a corrupt disk image is left out of the group's page index, so
+    reading it raises instead of "repairing" from the corrupt payload."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_register_replica_skips_corrupt_images(self, seed):
+        cluster = PangeaCluster(
+            num_nodes=4, profile=MachineProfile.tiny(pool_bytes=256 * KB)
+        )
+        FaultInjector(seed=seed, config=FaultConfig(corruption_rate=0.2)).attach(cluster)
+
+        def create(name, durability="write-through"):
+            return cluster.create_set(
+                name, durability=durability, page_size=16 * KB, object_bytes=256
+            )
+
+        src = create("src", durability="write-back")
+        src.add_data([{"id": i, "a": i // 3, "b": (i * 131) % 997} for i in range(1600)])
+        rep_a = create("rep_a")
+        partition_set(src, rep_a, HashPartitioner(lambda r: r["a"], 16, key_name="a"))
+        rep_b = create("rep_b")
+        partition_set(src, rep_b, HashPartitioner(lambda r: r["b"], 16, key_name="b"))
+        evicted = [
+            (member, shard, page, CORRUPTION_SENTINEL in shard.file.peek_records(page.page_id))
+            for member in (rep_a, rep_b)
+            for shard in member.shards.values()
+            for page in shard.pages
+            if page.on_disk and not page.records
+        ]
+        assert any(corrupt for *_, corrupt in evicted), "the seed must corrupt an evicted image"
+
+        register_replica(rep_a, rep_b, object_id_fn=lambda r: r["id"])
+
+        for member, shard, page, corrupt in evicted:
+            ids = member.page_image_ids(shard.node.node_id, page.page_id)
+            assert (ids is None) == corrupt
+        _member, shard, page, _corrupt = next(entry for entry in evicted if entry[3])
+        with pytest.raises(PageCorruptionError):
+            shard.pin_page(page)

@@ -1,10 +1,15 @@
 """Cross-module property-based tests on core invariants."""
 
+import copy
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import MachineProfile, PangeaCluster
+from repro.fs.page_file import page_checksum
 from repro.services.hashsvc import VirtualHashBuffer
 from repro.sim.devices import MB
 from repro.util import estimate_bytes, stable_hash
@@ -67,6 +72,83 @@ def test_stable_hash_is_deterministic_and_bounded(value):
     h1, h2 = stable_hash(value), stable_hash(value)
     assert h1 == h2
     assert 0 <= h1 < 2 ** 64
+
+
+_FLOATS = st.floats(allow_nan=False, width=64)
+_POINTS = hnp.arrays(np.float64, st.integers(min_value=1, max_value=8), elements=_FLOATS)
+
+#: Every record type the workloads store in pages: TPC-H rows, k-means
+#: points (bare, and with their norm), shuffle pairs, and strings.
+STORED_RECORDS = {
+    "tpch-row": st.fixed_dictionaries({
+        "l_orderkey": st.integers(min_value=1, max_value=6_000_000),
+        "l_quantity": st.integers(min_value=1, max_value=50),
+        "l_extendedprice": _FLOATS,
+        "l_discount": st.sampled_from([0.0, 0.01, 0.05, 0.1]),
+        "l_returnflag": st.sampled_from(["R", "A", "N"]),
+        "l_shipdate": st.integers(min_value=0, max_value=3000),
+        "l_comment": st.text(max_size=20),
+    }),
+    "ndarray": _POINTS,
+    "ndarray-float": st.tuples(_POINTS, _FLOATS),
+    "int-pair": st.tuples(st.integers(), st.integers()),
+    "str": st.text(max_size=30),
+}
+
+
+def _same(a, b) -> bool:
+    """``==`` that compares numpy arrays (and tuples holding them) element-wise."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return bool(np.array_equal(a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_RECORDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_page_checksum_is_deterministic_and_bounded(kind, data):
+    records = data.draw(st.lists(STORED_RECORDS[kind], max_size=20))
+    value = page_checksum(records)
+    assert value == page_checksum(copy.deepcopy(records))
+    assert 0 <= value < 2 ** 64
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_RECORDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_page_checksum_sees_any_replaced_record(kind, data):
+    records = data.draw(st.lists(STORED_RECORDS[kind], min_size=1, max_size=20))
+    index = data.draw(st.integers(min_value=0, max_value=len(records) - 1))
+    replacement = data.draw(STORED_RECORDS[kind])
+    assume(not _same(replacement, records[index]))
+    changed = records[:index] + [replacement] + records[index + 1:]
+    assert page_checksum(changed) != page_checksum(records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_page_checksum_sees_a_one_ulp_change_to_any_array_element(data):
+    records = data.draw(st.lists(_POINTS, min_size=1, max_size=20))
+    before = page_checksum(records)
+    point = records[data.draw(st.integers(min_value=0, max_value=len(records) - 1))]
+    index = data.draw(st.integers(min_value=0, max_value=point.size - 1))
+    point[index] = np.nextafter(point[index], np.inf if point[index] < 0 else -np.inf)
+    assert page_checksum(records) != before
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_RECORDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_page_checksum_sees_any_swap(kind, data):
+    records = data.draw(st.lists(STORED_RECORDS[kind], min_size=2, max_size=20))
+    positions = st.integers(min_value=0, max_value=len(records) - 1)
+    i, j = data.draw(st.lists(positions, min_size=2, max_size=2, unique=True))
+    assume(not _same(records[i], records[j]))
+    swapped = list(records)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    assert page_checksum(swapped) != page_checksum(records)
 
 
 @settings(max_examples=50, deadline=None)
