@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.baselines.host import BaselineHost
 from repro.baselines.os_fs import OsFileSystem
+from repro.sim.clock import synchronize
 from repro.sim.devices import MB
 
 BLOCK_BYTES = 128 * MB
@@ -62,7 +63,8 @@ class HdfsCluster:
             fs.host.cpu.memcpy(nbytes, workers)  # socket receive copy
             fs.write(f"{name}#r{replica_index}", nbytes, workers)
             fs.flush(f"{name}#r{replica_index}")
-        self._sync_clocks(client)
+        # The client blocks on every participant of the replicated write.
+        synchronize([client.clock] + [fs.host.clock for fs in self._datanode_fs])
 
     def read(self, name: str, nbytes: int, client: BaselineHost, workers: int = 1) -> None:
         """Read a file, preferring the replica co-located with the client.
@@ -86,7 +88,7 @@ class HdfsCluster:
             client.network.transfer(nbytes, num_messages=num_blocks)
         client.cpu.memcpy(nbytes, workers)  # socket → client buffer copy
         client.clock.advance(num_blocks * self.per_block_latency)
-        self._sync_pair(client, fs.host)
+        synchronize([client.clock, fs.host.clock])  # synchronous API
 
     def delete(self, name: str) -> None:
         self._file_sizes.pop(name, None)
@@ -109,18 +111,3 @@ class HdfsCluster:
             if host is client:
                 return index
         return self._pick_datanode(0)
-
-    def _sync_pair(self, client: BaselineHost, datanode_host: BaselineHost) -> None:
-        """The client blocks on its datanode (synchronous API)."""
-        latest = max(client.clock.now, datanode_host.clock.now)
-        client.clock.advance_to(latest)
-        datanode_host.clock.advance_to(latest)
-
-    def _sync_clocks(self, client: BaselineHost) -> None:
-        """Client blocks on every participant (used by replicated writes)."""
-        latest = max(
-            [client.clock.now] + [fs.host.clock.now for fs in self._datanode_fs]
-        )
-        client.clock.advance_to(latest)
-        for fs in self._datanode_fs:
-            fs.host.clock.advance_to(latest)

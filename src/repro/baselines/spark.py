@@ -26,6 +26,7 @@ from repro.baselines.host import BaselineHost
 from repro.baselines.ignite import IgniteSegfaultError, IgniteSharedRdd
 from repro.baselines.os_fs import OsFileSystem
 from repro.query.scheduler import QueryScheduler
+from repro.sim.clock import synchronize
 from repro.sim.devices import GB, MB
 from repro.sim.profiles import MachineProfile
 
@@ -109,10 +110,7 @@ class SparkKMeans:
     # ------------------------------------------------------------------
 
     def _barrier(self) -> float:
-        latest = max(h.clock.now for h in self.hosts)
-        for host in self.hosts:
-            host.clock.advance_to(latest)
-        return latest
+        return synchronize(host.clock for host in self.hosts)
 
     def _preload_input(self, bytes_per_node: int, points_per_node: float) -> None:
         """Stage the input in the backend (not part of the timed run)."""

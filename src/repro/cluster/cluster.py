@@ -9,6 +9,7 @@ from repro.cluster.manager import HeartbeatFailureDetector, Manager
 from repro.cluster.node import WorkerNode
 from repro.core.attributes import DurabilityType, LocalitySetAttributes
 from repro.core.locality_set import LocalitySet
+from repro.sim.clock import synchronize
 from repro.sim.devices import MB
 from repro.sim.faults import RobustnessStats
 from repro.sim.profiles import MachineProfile
@@ -164,10 +165,7 @@ class PangeaCluster:
         """
         if self.manager.failure_detector is not None:
             self.manager.failure_detector.poll()
-        latest = max(node.clock.now for node in self.nodes)
-        for node in self.nodes:
-            node.clock.advance_to(latest)
-        return latest
+        return synchronize(node.clock for node in self.nodes)
 
     def simulated_seconds(self) -> float:
         return max(node.clock.now for node in self.nodes)

@@ -73,9 +73,9 @@ class HeartbeatFailureDetector:
                     self.handled.discard(node.node_id)
             if detected:
                 # Heartbeats take miss_threshold intervals to time out.
-                latest = self.cluster.barrier() + self.detection_delay
+                self.cluster.barrier()
                 for node in self.cluster.nodes:
-                    node.clock.advance_to(latest)
+                    node.clock.advance(self.detection_delay)
                 for node in self.cluster.nodes:
                     if node.tracer is not None and not node.failed:
                         node.tracer.instant(

@@ -21,6 +21,7 @@ import pickle
 import typing
 from dataclasses import dataclass, replace
 
+from repro.sim.clock import charge
 from repro.sim.devices import DiskArray
 from repro.sim.faults import PageCorruptionError, RetryPolicy, TransientDiskError
 
@@ -143,11 +144,9 @@ class SetFile:
                     raise
                 if self.owner is not None:
                     self.owner.robustness.retries += 1
-                seconds = policy.backoff(attempt - 1)
-                clock = self.disks.disks[0].clock
-                if clock is not None:
-                    clock.advance(seconds)
-                backoff_total += seconds
+                backoff_total += charge(
+                    self.disks.disks[0].clock, policy.backoff(attempt - 1)
+                )
 
     # ------------------------------------------------------------------
     # extent management

@@ -2,12 +2,12 @@
 
 The query scheduler processes records in chunks instead of one Python
 object at a time.  Every kernel in this module charges the simulated
-costs of a record-at-a-time loop — the same floating-point additions, in
-the same order, against the same per-node clocks — so batching changes
-only wall-clock speed.  The argument for each kernel lives next to it;
-``tests/test_query_golden.py`` checks the whole engine against results
-captured from the record-at-a-time engine, and the kernel tests check
-``BatchStepRunner`` against :func:`repro.query.pipeline.run_steps`.
+costs of a record-at-a-time loop against the same per-node clocks.
+Per-record charges are whole clock ticks, so a chunk's charge equals the
+sum of its records' charges and batching changes only wall-clock speed.
+``tests/test_query_golden.py`` checks the whole engine against pinned
+results, and the kernel tests check ``BatchStepRunner`` against
+:func:`repro.query.pipeline.run_steps`.
 
 The batched kernels assume the step/key/merge functions are pure (the
 same assumption the cost model already makes): a batch applies one step
@@ -26,10 +26,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import WorkerNode
     from repro.query.operators import JoinNode
 
-#: Default chunk size for re-batching materialized record lists.  Any
-#: multiple of anything works — the cost kernels replay charges by
-#: cumulative record count, not per chunk — so this only tunes Python
-#: call overhead against peak list sizes.
+#: Default chunk size for re-batching materialized record lists.  Any size
+#: charges the same simulated time, so this only tunes Python call
+#: overhead against peak list sizes.
 DEFAULT_BATCH_SIZE = 4096
 
 
@@ -86,21 +85,16 @@ class RecordBatch:
 class BatchStepRunner:
     """Vectorized filter/map/flatmap with ``run_steps``' exact charges.
 
-    ``run_steps`` charges ``per_object(1024 * max(1, len(steps)))`` every
-    time its cumulative *input* count crosses a multiple of 1024, plus one
-    remainder charge at end of stream.  This runner tracks the same
-    cumulative count across :meth:`feed` calls and issues the identical
-    sequence of charge calls, so any chunking of the same record stream
-    lands the node clock on the same reading.  (Between two block charges
-    nothing else touches the clock, so charging them at chunk boundaries
-    instead of mid-chunk visits the same final value.)
+    ``run_steps`` charges ``per_object`` for ``max(1, len(steps))`` units
+    per input record.  Per-object charges are whole ticks per unit, so
+    charging each fed chunk's units directly lands the node clock on
+    ``run_steps``' reading for any chunking of the same record stream.
     """
 
     def __init__(self, node: "WorkerNode", steps: list) -> None:
         self.node = node
         self.steps = steps
         self._units = max(1, len(steps))
-        self._count = 0
         self._finished = False
         #: Batch counters for SchedulerMetrics (read by the scheduler).
         self.batches = 0
@@ -130,19 +124,12 @@ class BatchStepRunner:
                 for record in data:
                     extend(fn(record))
                 data = out
-        before = self._count
-        self._count += len(records)
-        cpu = self.node.cpu
-        for _ in range(self._count // 1024 - before // 1024):
-            cpu.per_object(1024 * self._units)
+        self.node.cpu.per_object(len(records) * self._units)
         return data
 
     def finish(self) -> None:
-        """Charge the end-of-stream remainder exactly like ``run_steps``."""
-        if self._finished:
-            return
+        """End the stream; :meth:`feed` raises afterwards."""
         self._finished = True
-        self.node.cpu.per_object((self._count % 1024) * self._units)
 
 
 def build_hash_table(records, key_fn) -> dict:

@@ -18,9 +18,9 @@ Every physical stage runs batch-at-a-time kernels from
 :mod:`repro.query.batch`, one task per node, through
 :class:`repro.compute.stages.StageExecutor` (on real threads, or serially
 in node order under an enabled fault injector).  The kernels charge the
-simulated costs of a record-at-a-time loop in record order, so results,
-simulated seconds, strategy decisions and fault schedules match that
-loop bit for bit; ``tests/test_query_golden.py`` pins them as data.
+simulated costs of a record-at-a-time loop in whole clock ticks, so
+results, simulated seconds, strategy decisions and fault schedules match
+that loop exactly; ``tests/test_query_golden.py`` pins them as data.
 """
 
 from __future__ import annotations

@@ -216,7 +216,7 @@ class VirtualHashBuffer:
             for i in range(num_root_partitions)
         ]
         self._finalized = False
-        #: key -> (root, sub_hash) memo for :meth:`insert_many`.
+        #: key -> (root index, sub_hash) memo for :meth:`insert_many`.
         self._route_cache: dict = {}
 
     # ------------------------------------------------------------------
@@ -252,44 +252,38 @@ class VirtualHashBuffer:
     ) -> None:
         """Batched :meth:`insert` over aligned key/value columns.
 
-        Bit-identical in simulated time to inserting one pair at a time:
-        the per-record ``per_object(1, factor=1.5)`` increments accumulate
-        on a local float committed with ``advance_to``, the combine fast
-        path touches only the in-page dict, and any slow insert (slab
-        reserve, split, spill) first syncs the clock and then runs the
-        exact per-record code so page allocation and eviction land on the
-        same clock readings.  Requires an explicit uniform ``nbytes`` and
-        a single-node buffer; anything else falls back to the loop.
+        The combine fast path touches only the in-page dict; a new key
+        takes the per-record slot code (slab reserve, split, spill).  Each
+        pair's ``per_object(1, factor=1.5)`` is an integer number of ticks,
+        so the pairs are counted per root and charged in one call per root
+        at the end, which leaves every node clock exactly where inserting
+        one pair at a time does.  Without an explicit uniform ``nbytes``
+        each pair is sized on its own, one :meth:`insert` at a time.
         """
+        if nbytes is None:
+            for key, value in zip(keys, values):
+                self._put(key, value, None, combine=True)
+            return
         if self._finalized:
             raise RuntimeError("hash buffer already finalized")
-        nodes = {id(root.shard.node) for root in self.roots}
-        if nbytes is None or len(nodes) > 1:
-            for key, value in zip(keys, values):
-                self._put(key, value, nbytes, combine=True)
-            return
-        node = self.roots[0].shard.node
-        cpu = node.cpu
-        clock = cpu.clock
-        # Exactly what per_object(1, factor=1.5) advances with workers=1.
-        per_put = cpu.per_object_overhead * 1.5
         entry_bytes = nbytes + ENTRY_OVERHEAD
         roots = self.roots
         num_roots = self.num_roots
         combiner = self.combiner
         combines = 0
+        puts = [0] * num_roots
         # Routing is a pure function of the key (splits only deepen the
         # per-root directory, consulted below), so cache it across calls;
         # aggregation keys repeat heavily and stable_hash is pure Python.
         route = self._route_cache
-        x = clock.now
         for key, value in zip(keys, values):
             cached = route.get(key)
             if cached is None:
                 h = stable_hash(key)
-                cached = route[key] = (roots[h % num_roots], h // num_roots)
-            root, sub = cached
-            x += per_put
+                cached = route[key] = (h % num_roots, h // num_roots)
+            index, sub = cached
+            puts[index] += 1
+            root = roots[index]
             part = root.directory[sub & ((1 << root.local_depth) - 1)]
             existing = part.table.get(key)
             if existing is not None:
@@ -298,30 +292,17 @@ class VirtualHashBuffer:
                 )
                 part.table[key] = (new_value, existing[1], existing[2])
                 combines += 1
-                continue
-            # Slow path: sync the clock, then the per-record insert code.
-            clock.advance_to(x)
-            attempts = 0
-            while True:
-                offset = part.try_reserve(entry_bytes)
-                if offset is not None:
-                    part.table[key] = (value, sub, entry_bytes)
-                    part.sync_page_accounting()
-                    cpu.memcpy(entry_bytes)
-                    self.stats.inserts += 1
-                    break
-                part = self._grow(root, part, sub, attempts)
-                attempts += 1
-            x = clock.now
-        clock.advance_to(x)
+            else:
+                self._store(root, part, key, value, sub, entry_bytes)
         self.stats.combines += combines
+        for root, count in zip(roots, puts):
+            root.shard.node.cpu.per_object(count, factor=1.5)
 
     def _put(self, key: object, value: object, nbytes: int | None, combine: bool) -> None:
         if self._finalized:
             raise RuntimeError("hash buffer already finalized")
         root, sub = self._route(key)
-        node = root.shard.node
-        node.cpu.per_object(1, factor=1.5)
+        root.shard.node.cpu.per_object(1, factor=1.5)
         part = root.page_for(sub)
         existing = part.table.get(key)
         if existing is not None:
@@ -338,13 +319,21 @@ class VirtualHashBuffer:
             if nbytes is not None
             else estimate_bytes(key) + estimate_bytes(value)
         ) + ENTRY_OVERHEAD
+        self._store(root, part, key, value, sub, entry_bytes)
+
+    def _store(
+        self, root: _RootPartition, part: HashPartitionPage, key: object,
+        value: object, sub: int, entry_bytes: int,
+    ) -> None:
+        """Reserve page memory for a new entry, growing the root until it
+        fits, then store the entry and charge its copy."""
         attempts = 0
         while True:
             offset = part.try_reserve(entry_bytes)
             if offset is not None:
                 part.table[key] = (value, sub, entry_bytes)
                 part.sync_page_accounting()
-                node.cpu.memcpy(entry_bytes)
+                root.shard.node.cpu.memcpy(entry_bytes)
                 self.stats.inserts += 1
                 return
             part = self._grow(root, part, sub, attempts)

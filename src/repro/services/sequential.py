@@ -139,21 +139,17 @@ class SequentialWriter:
             )
         page = self._current_page(nbytes)
         page.append(record, nbytes)
-        node = self.shard.node
-        node.cpu.per_object(1, workers=self.workers)
-        node.cpu.memcpy(nbytes, workers=self.workers)
+        self.shard.node.cpu.records(1, nbytes, workers=self.workers)
 
     def add_data(self, records: list, nbytes_each: int | None = None) -> None:
         """Sequential-write a batch (single bulk cost charge)."""
         if not self._attached:
             raise RuntimeError("writer is not attached (use it as a context manager)")
         nbytes = self.shard.dataset.object_bytes if nbytes_each is None else nbytes_each
-        node = self.shard.node
         for record in records:
             page = self._current_page(nbytes)
             page.append(record, nbytes)
-        node.cpu.per_object(len(records), workers=self.workers)
-        node.cpu.memcpy(len(records) * nbytes, workers=self.workers)
+        self.shard.node.cpu.records(len(records), nbytes, workers=self.workers)
 
     def flush(self) -> None:
         """Seal the current page early (stage boundary)."""

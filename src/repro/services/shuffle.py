@@ -156,9 +156,14 @@ class VirtualShuffleBuffer:
             self._flush_small_page()
             self._small = self.allocator.get_small_page()
         self._small.append(record, nbytes)
-        cpu = (self.worker_node or self.allocator.shard.node).cpu
-        cpu.per_object(1)
-        cpu.memcpy(nbytes)
+        (self.worker_node or self.allocator.shard.node).cpu.records(1, nbytes)
+
+    def _append_run(self, run: list, nbytes: int) -> None:
+        """Bulk-append records known to fit the current small page,
+        charged exactly like one :meth:`add_object` per record."""
+        if run:
+            self._small.extend(run, nbytes)
+            (self.worker_node or self.allocator.shard.node).cpu.records(len(run), nbytes)
 
     def close(self) -> None:
         self._flush_small_page()
@@ -228,37 +233,20 @@ class ShuffleService:
         """Bulk ``add_object``: one call for a batch of same-size records.
 
         ``partitions[i]`` is the destination partition of ``records[i]``.
-        Costs replay in *original record order* against the writer's clock
-        — accumulating the per-record ``per_object``/``memcpy`` increments
-        on a local float and committing with ``advance_to`` — so small-page
-        flush boundaries (network transfers, fresh big pages, evictions on
-        the home node) land on exactly the clock readings the per-record
-        loop produces, bit for bit.  Data moves grouped: each destination's
-        records are staged in a pending run and bulk-extended into its
-        small page at flush boundaries.  Deferring the appends is invisible
-        to the paging layer because a partition's big page stays pinned
-        (never a victim candidate) until the allocator retires it.
+        Data moves grouped: each destination's records are staged in a
+        pending run and bulk-extended into its small page at flush
+        boundaries.  Deferring the appends is invisible to the paging
+        layer because a partition's big page stays pinned (never a victim
+        candidate) until the allocator retires it.  A run is charged as
+        one ``records`` call, which costs exactly the integer ticks of its
+        per-record ``add_object`` charges, so every clock ends where the
+        per-record loop leaves it.
         """
-        if worker_node is None:
-            # Without a writer node the charged CPU falls back to each
-            # partition's home node, so there is no single clock to
-            # accumulate against; take the per-record path.
-            for record, partition_id in zip(records, partitions):
-                self.buffer_for(worker_id, partition_id).add_object(record, nbytes)
-            return
         if nbytes is None:
             nbytes = self.partition_sets[0].object_bytes
-        cpu = worker_node.cpu
-        clock = cpu.clock
-        # With workers=1 these are exactly the amounts add_object advances
-        # the clock by (multiplying by factor 1.0 and dividing by one
-        # effective core are exact float operations).
-        per_obj = cpu.per_object_overhead
-        per_copy = nbytes / cpu.memcpy_bandwidth
         buffers: dict[int, VirtualShuffleBuffer] = {}
         pending: dict[int, list] = {}
         capacity: dict[int, int] = {}
-        x = clock.now
         for record, partition_id in zip(records, partitions):
             buffer = buffers.get(partition_id)
             if buffer is None:
@@ -272,28 +260,19 @@ class ShuffleService:
                     0 if small is None else small.free_bytes // nbytes
                 )
             if capacity[partition_id] <= 0:
-                clock.advance_to(x)
-                run = pending[partition_id]
-                if run:
-                    buffer._small.extend(run, nbytes)
-                    pending[partition_id] = []
+                buffer._append_run(pending[partition_id], nbytes)
+                pending[partition_id] = []
                 buffer._flush_small_page()
                 buffer._small = buffer.allocator.get_small_page()
                 capacity[partition_id] = buffer._small.free_bytes // nbytes
-                x = clock.now
                 if capacity[partition_id] <= 0:
                     # A record larger than a small page: fail exactly like
                     # the per-record append would.
                     buffer._small.append(record, nbytes)
             pending[partition_id].append(record)
             capacity[partition_id] -= 1
-            x += per_obj
-            x += per_copy
-        clock.advance_to(x)
         for partition_id, buffer in buffers.items():
-            run = pending[partition_id]
-            if run:
-                buffer._small.extend(run, nbytes)
+            buffer._append_run(pending[partition_id], nbytes)
 
     def finish_writing(self) -> None:
         """Flush every writer and detach the write service."""

@@ -3,10 +3,43 @@
 from __future__ import annotations
 
 import threading
+import typing
+
+#: Simulated time is counted in whole picoseconds.
+TICKS_PER_SECOND = 10**12
+
+
+def to_ticks(seconds: float) -> int:
+    """``seconds`` rounded to the nearest whole tick."""
+    return round(seconds * TICKS_PER_SECOND)
+
+
+def charge(clock: "SimClock | None", seconds: float) -> float:
+    """Add ``seconds``, quantised to ticks, to ``clock`` (if any) and
+    return exactly the seconds added."""
+    ticks = to_ticks(seconds)
+    if clock is not None:
+        clock.advance_ticks(ticks)
+    return ticks / TICKS_PER_SECOND
+
+
+def synchronize(clocks: "typing.Iterable[SimClock]") -> float:
+    """Move every clock up to the latest one, in ticks (a stage barrier
+    between quiescent stages); returns the common reading in seconds."""
+    clocks = list(clocks)
+    latest = max(clock.ticks for clock in clocks)
+    for clock in clocks:
+        clock.advance_ticks(latest - clock.ticks)
+    return latest / TICKS_PER_SECOND
 
 
 class SimClock:
-    """A monotonically advancing accumulator of simulated seconds.
+    """A monotonically advancing count of simulated time.
+
+    Time is a Python ``int`` of picoseconds (:data:`TICKS_PER_SECOND`);
+    :attr:`now` reads it as float seconds.  A charge is quantised once,
+    where it enters the clock, and charges then add as integers, so the
+    reading does not depend on their order or grouping.
 
     Each worker node owns one clock.  Every device operation (disk I/O,
     memory copy, serialization, network transfer) charges its cost here.
@@ -16,43 +49,55 @@ class SimClock:
 
     Thread-safe: the threaded :class:`~repro.compute.workers.WorkerPool`
     runs several OS threads per node, all charging the same clock, so the
-    read-modify-write in :meth:`advance` is guarded by a leaf lock (held
-    for the increment only, never while calling out).
+    read-modify-write in :meth:`advance_ticks` is guarded by a leaf lock
+    (held for the increment only, never while calling out).
     """
 
     def __init__(self, now: float = 0.0) -> None:
         if now < 0:
             raise ValueError(f"clock cannot start at negative time: {now}")
-        self._now = float(now)
+        self._ticks = to_ticks(now)
         self._lock = threading.Lock()
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._now
+        return self._ticks / TICKS_PER_SECOND
+
+    @property
+    def ticks(self) -> int:
+        """Current simulated time in picoseconds."""
+        return self._ticks
 
     def advance(self, seconds: float) -> float:
-        """Charge ``seconds`` of simulated time and return the new time."""
+        """Charge ``seconds`` (rounded to ticks) and return the new time."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
+        return self.advance_ticks(to_ticks(seconds))
+
+    def advance_ticks(self, ticks: int) -> float:
+        """Charge ``ticks`` picoseconds and return the new time in seconds."""
+        if ticks < 0:
+            raise ValueError(f"cannot advance clock by negative time: {ticks} ticks")
         with self._lock:
-            self._now += seconds
-            return self._now
+            self._ticks += ticks
+            return self._ticks / TICKS_PER_SECOND
 
     def advance_to(self, when: float) -> float:
         """Move the clock forward to ``when`` (no-op if already past it)."""
+        ticks = to_ticks(when)
         with self._lock:
-            if when > self._now:
-                self._now = when
-            return self._now
+            if ticks > self._ticks:
+                self._ticks = ticks
+            return self._ticks / TICKS_PER_SECOND
 
     def reset(self) -> None:
         """Rewind to time zero (used between benchmark runs)."""
         with self._lock:
-            self._now = 0.0
+            self._ticks = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.6f})"
+        return f"SimClock(now={self.now:.6f})"
 
 
 class TickCounter:

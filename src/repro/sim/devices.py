@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim.clock import SimClock
+from repro.sim.clock import TICKS_PER_SECOND, SimClock, charge, to_ticks
 
 KB = 1024
 MB = 1024 * KB
@@ -62,9 +62,7 @@ class DiskDevice:
         self.stats = DiskStats()
 
     def _charge(self, seconds: float) -> float:
-        if self.clock is not None:
-            self.clock.advance(seconds)
-        return seconds
+        return charge(self.clock, seconds)
 
     def read(self, nbytes: int, num_ios: int = 1) -> float:
         """Charge a read of ``nbytes`` spread over ``num_ios`` operations."""
@@ -146,39 +144,11 @@ class DiskArray:
 
     def read(self, nbytes: int, num_ios: int = 1) -> float:
         """Striped read: each disk serves an equal share in parallel."""
-        extra = 0.0
-        if self.fault_hook is not None:
-            extra = self.fault_hook("disk.read", nbytes)
-        ios = max(1, num_ios // self.num_disks)
-        for disk, chunk in zip(self.disks, self.striped_chunks(nbytes)):
-            disk.stats.bytes_read += chunk
-            disk.stats.num_reads += ios
-        cost = self.estimate_read_seconds(nbytes, num_ios) + extra
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span("disk.read", "disk", tracer.now, cost,
-                        nbytes=nbytes, num_ios=num_ios)
-        if self.disks[0].clock is not None:
-            self.disks[0].clock.advance(cost)
-        return cost
+        return self._transfer("disk.read", "disk.read", nbytes, num_ios)
 
     def write(self, nbytes: int, num_ios: int = 1) -> float:
         """Striped write: each disk absorbs an equal share in parallel."""
-        extra = 0.0
-        if self.fault_hook is not None:
-            extra = self.fault_hook("disk.write", nbytes)
-        ios = max(1, num_ios // self.num_disks)
-        for disk, chunk in zip(self.disks, self.striped_chunks(nbytes)):
-            disk.stats.bytes_written += chunk
-            disk.stats.num_writes += ios
-        cost = self.estimate_write_seconds(nbytes, num_ios) + extra
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.span("disk.write", "disk", tracer.now, cost,
-                        nbytes=nbytes, num_ios=num_ios)
-        if self.disks[0].clock is not None:
-            self.disks[0].clock.advance(cost)
-        return cost
+        return self._transfer("disk.write", "disk.write", nbytes, num_ios)
 
     def write_many(self, sizes: list[int], num_ios: int = 1) -> float:
         """One coalesced striped write covering several page images.
@@ -191,22 +161,38 @@ class DiskArray:
         """
         if any(nbytes < 0 for nbytes in sizes):
             raise ValueError("cannot write a negative number of bytes")
-        total = sum(sizes)
+        return self._transfer(
+            "disk.write", "disk.write_many", sum(sizes), num_ios, pages=len(sizes)
+        )
+
+    def _transfer(
+        self, point: str, span: str, nbytes: int, num_ios: int, **args
+    ) -> float:
+        """Fault hook, per-disk counters, trace span, then the clock charge.
+
+        A negative size is rejected before any of them is touched.
+        """
+        if nbytes < 0:
+            raise ValueError(f"{span}: cannot move a negative number of bytes")
+        write = point == "disk.write"
         extra = 0.0
         if self.fault_hook is not None:
-            extra = self.fault_hook("disk.write", total)
+            extra = self.fault_hook(point, nbytes)
         ios = max(1, num_ios // self.num_disks)
-        for disk, chunk in zip(self.disks, self.striped_chunks(total)):
-            disk.stats.bytes_written += chunk
-            disk.stats.num_writes += ios
-        cost = self.estimate_write_seconds(total, num_ios) + extra
+        for disk, chunk in zip(self.disks, self.striped_chunks(nbytes)):
+            if write:
+                disk.stats.bytes_written += chunk
+                disk.stats.num_writes += ios
+            else:
+                disk.stats.bytes_read += chunk
+                disk.stats.num_reads += ios
+        estimate = self.estimate_write_seconds if write else self.estimate_read_seconds
+        cost = estimate(nbytes, num_ios) + extra
         tracer = self.tracer
         if tracer is not None:
-            tracer.span("disk.write_many", "disk", tracer.now, cost,
-                        nbytes=total, pages=len(sizes), num_ios=num_ios)
-        if self.disks[0].clock is not None:
-            self.disks[0].clock.advance(cost)
-        return cost
+            tracer.span(span, "disk", tracer.now, cost,
+                        nbytes=nbytes, **args, num_ios=num_ios)
+        return charge(self.disks[0].clock, cost)
 
     def total_bytes_written(self) -> int:
         return sum(d.stats.bytes_written for d in self.disks)
@@ -228,6 +214,11 @@ class CpuProfile:
     "interfacing overhead" the paper blames for much of the layered systems'
     slowdown; ``per_object_overhead`` charges fixed work per record (hashing,
     allocation bookkeeping).
+
+    Charges are quantised to whole clock ticks.  One record of ``nbytes``
+    costs the per-object ticks plus the ``memcpy(nbytes)`` ticks, and
+    :meth:`records` charges ``count`` times that integer, so a charge for
+    ``n`` records equals ``n`` one-record charges in any order or grouping.
     """
 
     cores: int = 8
@@ -237,17 +228,16 @@ class CpuProfile:
     per_object_overhead: float = 25e-9
     clock: SimClock | None = field(default=None, repr=False)
 
-    def _charge(self, seconds: float) -> float:
-        if self.clock is not None:
-            self.clock.advance(seconds)
-        return seconds
+    def __post_init__(self) -> None:
+        #: (nbytes, workers, factor) -> ticks of one record, see record_ticks.
+        self._record_ticks: dict = {}
 
     def parallel(self, seconds: float, workers: int = 1) -> float:
         """Charge CPU work shared by ``workers`` threads (capped at cores)."""
         if seconds < 0:
             raise ValueError("cannot charge negative CPU time")
         effective = max(1, min(workers, self.cores))
-        return self._charge(seconds / effective)
+        return charge(self.clock, seconds / effective)
 
     def memcpy(self, nbytes: int, workers: int = 1) -> float:
         return self.parallel(nbytes / self.memcpy_bandwidth, workers)
@@ -258,8 +248,34 @@ class CpuProfile:
     def deserialize(self, nbytes: int, workers: int = 1) -> float:
         return self.parallel(nbytes / self.deserialize_bandwidth, workers)
 
+    def record_ticks(self, nbytes: int = 0, workers: int = 1, factor: float = 1.0) -> int:
+        """Ticks one record of ``nbytes`` costs: its per-object work plus
+        the ``memcpy(nbytes)`` ticks (cached per argument triple)."""
+        key = (nbytes, workers, factor)
+        ticks = self._record_ticks.get(key)
+        if ticks is None:
+            if nbytes < 0 or factor < 0:
+                raise ValueError("cannot charge negative CPU time")
+            effective = max(1, min(workers, self.cores))
+            ticks = self._record_ticks[key] = to_ticks(
+                self.per_object_overhead * factor / effective
+            ) + to_ticks(nbytes / self.memcpy_bandwidth / effective)
+        return ticks
+
+    def records(
+        self, count: int, nbytes: int = 0, workers: int = 1, factor: float = 1.0
+    ) -> float:
+        """Charge ``count`` records of ``nbytes`` each (see the class doc)."""
+        if count < 0:
+            raise ValueError("cannot charge a negative number of records")
+        ticks = count * self.record_ticks(nbytes, workers, factor)
+        if self.clock is not None:
+            self.clock.advance_ticks(ticks)
+        return ticks / TICKS_PER_SECOND
+
     def per_object(self, num_objects: int, workers: int = 1, factor: float = 1.0) -> float:
-        return self.parallel(num_objects * self.per_object_overhead * factor, workers)
+        """Charge fixed per-record work for ``num_objects`` records."""
+        return self.records(num_objects, 0, workers, factor)
 
     def compute(self, seconds: float, workers: int = 1) -> float:
         """Charge arbitrary computation time (e.g. a UDF over records)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.clock import SimClock
+from repro.sim.clock import SimClock, charge
 from repro.sim.devices import GB
 from repro.sim.faults import RetryPolicy, TransientNetworkError
 
@@ -62,9 +62,7 @@ class NetworkLink:
         self.tracer = None
 
     def _charge(self, seconds: float) -> float:
-        if self.clock is not None:
-            self.clock.advance(seconds)
-        return seconds
+        return charge(self.clock, seconds)
 
     def _fire_with_retries(self, point: str, nbytes: int) -> float:
         """Fire the fault hook, retrying dropped sends with backoff."""

@@ -14,7 +14,7 @@ import pytest
 
 from repro import MachineProfile, PangeaCluster
 from repro.core.policies import eviction_cost, eviction_cost_breakdown
-from repro.sim.clock import SimClock
+from repro.sim.clock import TICKS_PER_SECOND, SimClock, to_ticks
 from repro.sim.devices import DiskArray, DiskDevice, KB, MB
 from repro.sim.metrics import (
     NODE_COLUMNS,
@@ -41,7 +41,9 @@ class TestHeterogeneousEvictionCost:
         nbytes = 8 * MB
         estimated = disks.estimate_read_seconds(nbytes)
         charged = disks.read(nbytes)
-        assert charged == estimated
+        # The estimate stays an unrounded float; the charge is that
+        # estimate quantised to whole clock ticks.
+        assert charged == to_ticks(estimated) / TICKS_PER_SECOND
         assert clock.now == charged
 
     def test_estimate_bounded_by_slowest_disk(self):

@@ -50,7 +50,7 @@ from repro.core.policies import (
     victim_batch,
 )
 from repro.sim import metrics as metrics_mod
-from repro.sim.clock import SimClock
+from repro.sim.clock import TICKS_PER_SECOND, SimClock, to_ticks
 from repro.sim.devices import MB, DiskArray, DiskDevice
 from repro.fs.page_file import SetFile
 
@@ -521,7 +521,7 @@ class TestWriteMany:
         sizes = [PAGE, PAGE, PAGE]
         cost = array.write_many(sizes)
         expected = array.estimate_write_seconds(sum(sizes), num_ios=1)
-        assert cost == expected
+        assert cost == to_ticks(expected) / TICKS_PER_SECOND
         assert clock.now == cost
         # One operation per disk, not one per page.
         assert all(d.stats.num_writes == 1 for d in array.disks)

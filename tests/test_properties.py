@@ -10,8 +10,12 @@ from hypothesis.extra import numpy as hnp
 
 from repro import MachineProfile, PangeaCluster
 from repro.fs.page_file import page_checksum
+from repro.query.batch import BatchStepRunner
+from repro.query.pipeline import run_steps
 from repro.services.hashsvc import VirtualHashBuffer
-from repro.sim.devices import MB
+from repro.services.shuffle import ShuffleService
+from repro.sim.clock import SimClock
+from repro.sim.devices import KB, MB, CpuProfile
 from repro.util import estimate_bytes, stable_hash
 
 
@@ -207,3 +211,166 @@ def test_aggregation_identical_under_every_policy(pairs, policy):
         buffer.insert(key, value, nbytes=60)
         expected[key] = expected.get(key, 0) + value
     assert dict(buffer.items()) == expected
+
+
+# ----------------------------------------------------------------------
+# Exact simulated time: a batched charge equals its per-record parts.
+# ----------------------------------------------------------------------
+
+
+def _chunks(items: list, sizes: list) -> list:
+    """``items`` cut into consecutive slices whose lengths cycle ``sizes``."""
+    out, start, turn = [], 0, 0
+    while start < len(items):
+        size = sizes[turn % len(sizes)]
+        out.append(items[start:start + size])
+        start += size
+        turn += 1
+    return out
+
+
+def _ticks(cluster) -> list:
+    return [node.clock.ticks for node in cluster.nodes]
+
+
+def _odd_profile(pool_bytes: int = 64 * MB) -> MachineProfile:
+    """A tiny profile whose per-object cost is not a whole number of
+    ticks, so charging a float total instead of per-record ticks shows."""
+    profile = MachineProfile.tiny(pool_bytes=pool_bytes)
+    profile.cpu_per_object_overhead = 25e-9 / 7
+    return profile
+
+
+def _shuffle_run(partitions, chunk_sizes, nbytes, with_node, batched):
+    cluster = PangeaCluster(num_nodes=2, profile=_odd_profile(4 * MB))
+    service = ShuffleService(
+        cluster, "shuf", num_partitions=3, page_size=64 * KB,
+        small_page_size=4 * KB, object_bytes=64,
+    )
+    node = cluster.nodes[1] if with_node else None
+    records = [{"i": i} for i in range(len(partitions))]
+    if batched:
+        for chunk in _chunks(list(zip(records, partitions)), chunk_sizes):
+            service.write_batch(
+                0, [r for r, _ in chunk], [p for _, p in chunk],
+                worker_node=node, nbytes=nbytes,
+            )
+    else:
+        for record, partition in zip(records, partitions):
+            service.buffer_for(0, partition, worker_node=node).add_object(record, nbytes)
+    ticks = _ticks(cluster)
+    service.finish_writing()
+    pages = [
+        [list(page.records) for shard in ds.shards.values() for page in shard.pages]
+        for ds in service.partition_sets
+    ]
+    sent = [n.network.stats.bytes_sent for n in cluster.nodes]
+    return ticks, _ticks(cluster), pages, sent
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=2), max_size=400),
+    st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=6),
+    st.sampled_from([8, 64, 100, 1000]),
+    st.booleans(),
+)
+def test_write_batch_equals_per_record_add_object(partitions, chunk_sizes, nbytes, with_node):
+    """Any chunking of write_batch lands every clock on the per-record
+    loop's tick count and fills the same pages with the same records."""
+    batched = _shuffle_run(partitions, chunk_sizes, nbytes, with_node, batched=True)
+    per_record = _shuffle_run(partitions, chunk_sizes, nbytes, with_node, batched=False)
+    assert batched == per_record
+
+
+_STEP_MENU = {
+    "keep-odd": ("filter", lambda r: r % 2 == 1),
+    "keep-small": ("filter", lambda r: r < 500),
+    "square": ("map", lambda r: r * r),
+    "inc": ("map", lambda r: r + 1),
+    "fan": ("flatmap", lambda r: [r] * (r % 3)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=1000), max_size=3000),
+    st.lists(st.sampled_from(sorted(_STEP_MENU)), max_size=4),
+    st.lists(st.integers(min_value=1, max_value=2500), min_size=1, max_size=5),
+)
+def test_batch_step_runner_equals_run_steps_for_any_chunking(records, names, chunk_sizes):
+    steps = [_STEP_MENU[name] for name in names]
+    profile = _odd_profile()
+    legacy = PangeaCluster(num_nodes=1, profile=profile).nodes[0]
+    batch = PangeaCluster(num_nodes=1, profile=profile).nodes[0]
+    expected = list(run_steps(iter(records), steps, legacy))
+    runner = BatchStepRunner(batch, steps)
+    out: list = []
+    for chunk in _chunks(records, chunk_sizes):
+        out.extend(runner.feed(chunk))
+    runner.finish()
+    assert out == expected
+    assert batch.clock.ticks == legacy.clock.ticks
+
+
+def _hash_run(keys, chunk_sizes, nbytes, batched):
+    cluster = PangeaCluster(num_nodes=2, profile=_odd_profile(1 * MB))
+    data = cluster.create_set("h", durability="write-back", page_size=64 * KB)
+    buffer = VirtualHashBuffer(data, num_root_partitions=3, combiner=lambda a, b: a + b)
+    values = list(range(len(keys)))
+    if batched:
+        for chunk in _chunks(list(zip(keys, values)), chunk_sizes):
+            buffer.insert_many([k for k, _ in chunk], [v for _, v in chunk], nbytes=nbytes)
+    else:
+        for key, value in zip(keys, values):
+            buffer.insert(key, value, nbytes=nbytes)
+    ticks = _ticks(cluster)
+    stats = copy.copy(buffer.stats)
+    pairs = sorted(buffer.items())
+    buffer.release()
+    return ticks, stats, pairs, _ticks(cluster)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=600), max_size=1500),
+    st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=5),
+    st.sampled_from([None, 16, 200, 3000]),
+)
+def test_insert_many_equals_a_loop_of_insert(keys, chunk_sizes, nbytes):
+    """Same clocks (in ticks), stats and final pairs, also when pages
+    split and spill and the roots live on two nodes."""
+    assert _hash_run(keys, chunk_sizes, nbytes, True) == _hash_run(
+        keys, chunk_sizes, nbytes, False
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([1.0, 1.5, 2.0]),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([25e-9, 1e-9 / 3, 7.3e-8]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_per_object_charges_add_exactly(a, b, factor, workers, overhead, nbytes):
+    """``per_object(a) + per_object(b) == per_object(a + b)`` in clock
+    ticks for every worker count up to ``cores``, and likewise for whole
+    records of ``nbytes``."""
+    apart, whole = SimClock(), SimClock()
+    cpu_apart = CpuProfile(cores=8, per_object_overhead=overhead, clock=apart)
+    cpu_whole = CpuProfile(cores=8, per_object_overhead=overhead, clock=whole)
+    cpu_apart.per_object(a, workers=workers, factor=factor)
+    cpu_apart.per_object(b, workers=workers, factor=factor)
+    cpu_whole.per_object(a + b, workers=workers, factor=factor)
+    assert apart.ticks == whole.ticks
+    cpu_apart.records(a, nbytes, workers=workers, factor=factor)
+    cpu_apart.records(b, nbytes, workers=workers, factor=factor)
+    cpu_whole.records(a + b, nbytes, workers=workers, factor=factor)
+    assert apart.ticks == whole.ticks
+    one = SimClock()
+    cpu_one = CpuProfile(cores=8, per_object_overhead=overhead, clock=one)
+    cpu_one.per_object(1, workers=workers, factor=factor)
+    cpu_one.memcpy(nbytes, workers=workers)
+    assert one.ticks == cpu_one.record_ticks(nbytes, workers, factor)

@@ -22,6 +22,7 @@ from repro.query.batch import (
 from repro.query.operators import ScanNode
 from repro.query.pipeline import run_steps
 from repro.query.scheduler import QueryScheduler, StageResult
+from repro.sim.clock import TICKS_PER_SECOND
 from repro.sim.devices import KB, MB
 from repro.sim.faults import FaultInjector
 from repro.sim.metrics import format_scheduler_table
@@ -102,12 +103,11 @@ class TestRunStepsAccounting:
     """Satellite: pin down run_steps' CPU charging exactly."""
 
     def expected(self, node, charge_counts):
-        """Replay the expected per_object charges on a local float."""
-        per = node.cpu.per_object_overhead
-        total = node.clock.now
-        for n in charge_counts:
-            total += (n * per) / 1
-        return total
+        """The clock after ``per_object`` charges of these unit counts,
+        summed as integer ticks."""
+        per = node.cpu.record_ticks()
+        ticks = node.clock.ticks + sum(n * per for n in charge_counts)
+        return ticks / TICKS_PER_SECOND
 
     def test_full_block_plus_remainder(self):
         node = tiny_cluster().nodes[0]

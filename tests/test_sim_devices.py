@@ -77,6 +77,20 @@ class TestDiskArray:
         with pytest.raises(ValueError):
             DiskArray([])
 
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_negative_size_rejected_before_any_effect(self, op):
+        clock = SimClock()
+        array = DiskArray([DiskDevice(clock=clock)])
+        hooked = []
+        array.fault_hook = lambda point, nbytes: hooked.append(point) or 0.0
+        with pytest.raises(ValueError):
+            getattr(array, op)(-5)
+        assert hooked == []
+        assert array.total_bytes_read() == 0
+        assert array.total_bytes_written() == 0
+        assert array.disks[0].stats.num_reads == array.disks[0].stats.num_writes == 0
+        assert clock.now == 0.0
+
     def test_reset_stats(self):
         array = DiskArray([DiskDevice()])
         array.read(100)
