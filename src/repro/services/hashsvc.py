@@ -253,12 +253,12 @@ class VirtualHashBuffer:
         """Batched :meth:`insert` over aligned key/value columns.
 
         The combine fast path touches only the in-page dict; a new key
-        takes the per-record slot code (slab reserve, split, spill).  Each
-        pair's ``per_object(1, factor=1.5)`` is an integer number of ticks,
-        so the pairs are counted per root and charged in one call per root
-        at the end, which leaves every node clock exactly where inserting
-        one pair at a time does.  Without an explicit uniform ``nbytes``
-        each pair is sized on its own, one :meth:`insert` at a time.
+        takes the per-record slot code (slab reserve, split, spill).  A
+        pair costs a whole number of ticks, as in :meth:`insert`, so the
+        pairs are counted per root and charged in one go at the end, which
+        leaves every node clock exactly where inserting one pair at a time
+        does.  Without an explicit uniform ``nbytes`` each pair is sized on
+        its own, one :meth:`insert` at a time.
         """
         if nbytes is None:
             for key, value in zip(keys, values):
@@ -272,6 +272,7 @@ class VirtualHashBuffer:
         combiner = self.combiner
         combines = 0
         puts = [0] * num_roots
+        fresh = [0] * num_roots
         # Routing is a pure function of the key (splits only deepen the
         # per-root directory, consulted below), so cache it across calls;
         # aggregation keys repeat heavily and stable_hash is pure Python.
@@ -294,15 +295,18 @@ class VirtualHashBuffer:
                 combines += 1
             else:
                 self._store(root, part, key, value, sub, entry_bytes)
+                fresh[index] += 1
         self.stats.combines += combines
-        for root, count in zip(roots, puts):
-            root.shard.node.cpu.per_object(count, factor=1.5)
+        for root, count, new in zip(roots, puts, fresh):
+            cpu = root.shard.node.cpu
+            cpu.records(new, entry_bytes, factor=1.5)
+            cpu.per_object(count - new, factor=1.5)
 
     def _put(self, key: object, value: object, nbytes: int | None, combine: bool) -> None:
         if self._finalized:
             raise RuntimeError("hash buffer already finalized")
         root, sub = self._route(key)
-        root.shard.node.cpu.per_object(1, factor=1.5)
+        cpu = root.shard.node.cpu
         part = root.page_for(sub)
         existing = part.table.get(key)
         if existing is not None:
@@ -313,6 +317,7 @@ class VirtualHashBuffer:
                 new_value = value
             part.table[key] = (new_value, old_sub, old_bytes)
             self.stats.combines += 1
+            cpu.per_object(1, factor=1.5)
             return
         entry_bytes = (
             nbytes
@@ -320,20 +325,21 @@ class VirtualHashBuffer:
             else estimate_bytes(key) + estimate_bytes(value)
         ) + ENTRY_OVERHEAD
         self._store(root, part, key, value, sub, entry_bytes)
+        # The per-object work plus the copy of the new entry.
+        cpu.records(1, entry_bytes, factor=1.5)
 
     def _store(
         self, root: _RootPartition, part: HashPartitionPage, key: object,
         value: object, sub: int, entry_bytes: int,
     ) -> None:
         """Reserve page memory for a new entry, growing the root until it
-        fits, then store the entry and charge its copy."""
+        fits, then store the entry (the caller charges it)."""
         attempts = 0
         while True:
             offset = part.try_reserve(entry_bytes)
             if offset is not None:
                 part.table[key] = (value, sub, entry_bytes)
                 part.sync_page_accounting()
-                root.shard.node.cpu.memcpy(entry_bytes)
                 self.stats.inserts += 1
                 return
             part = self._grow(root, part, sub, attempts)

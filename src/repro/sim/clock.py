@@ -83,14 +83,6 @@ class SimClock:
             self._ticks += ticks
             return self._ticks / TICKS_PER_SECOND
 
-    def advance_to(self, when: float) -> float:
-        """Move the clock forward to ``when`` (no-op if already past it)."""
-        ticks = to_ticks(when)
-        with self._lock:
-            if ticks > self._ticks:
-                self._ticks = ticks
-            return self._ticks / TICKS_PER_SECOND
-
     def reset(self) -> None:
         """Rewind to time zero (used between benchmark runs)."""
         with self._lock:

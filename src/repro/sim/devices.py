@@ -61,9 +61,6 @@ class DiskDevice:
         self.clock = clock
         self.stats = DiskStats()
 
-    def _charge(self, seconds: float) -> float:
-        return charge(self.clock, seconds)
-
     def read(self, nbytes: int, num_ios: int = 1) -> float:
         """Charge a read of ``nbytes`` spread over ``num_ios`` operations."""
         if nbytes < 0:
@@ -71,7 +68,7 @@ class DiskDevice:
         num_ios = max(1, num_ios)
         self.stats.bytes_read += nbytes
         self.stats.num_reads += num_ios
-        return self._charge(num_ios * self.io_latency + nbytes / self.read_bandwidth)
+        return charge(self.clock, num_ios * self.io_latency + nbytes / self.read_bandwidth)
 
     def write(self, nbytes: int, num_ios: int = 1) -> float:
         """Charge a write of ``nbytes`` spread over ``num_ios`` operations."""
@@ -80,7 +77,7 @@ class DiskDevice:
         num_ios = max(1, num_ios)
         self.stats.bytes_written += nbytes
         self.stats.num_writes += num_ios
-        return self._charge(num_ios * self.io_latency + nbytes / self.write_bandwidth)
+        return charge(self.clock, num_ios * self.io_latency + nbytes / self.write_bandwidth)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DiskDevice({self.name!r}, read={self.read_bandwidth / MB:.0f}MB/s)"
@@ -229,7 +226,8 @@ class CpuProfile:
     clock: SimClock | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        #: (nbytes, workers, factor) -> ticks of one record, see record_ticks.
+        #: (nbytes, workers, factor) -> ticks of one record; the cost
+        #: fields are fixed once a profile has charged anything.
         self._record_ticks: dict = {}
 
     def parallel(self, seconds: float, workers: int = 1) -> float:

@@ -61,9 +61,6 @@ class NetworkLink:
         #: :meth:`repro.cluster.node.WorkerNode.attach_tracer`.
         self.tracer = None
 
-    def _charge(self, seconds: float) -> float:
-        return charge(self.clock, seconds)
-
     def _fire_with_retries(self, point: str, nbytes: int) -> float:
         """Fire the fault hook, retrying dropped sends with backoff."""
         if self.fault_hook is None:
@@ -81,7 +78,7 @@ class NetworkLink:
                     self.robustness.retries += 1
                 # Backoff is charged immediately; the successful attempt's
                 # extra latency (if any) is returned to the caller.
-                self._charge(policy.backoff(attempt - 1))
+                charge(self.clock, policy.backoff(attempt - 1))
 
     def transfer(
         self,
@@ -114,7 +111,7 @@ class NetworkLink:
         if tracer is not None:
             tracer.span("net.transfer", "network", tracer.now, cost,
                         nbytes=nbytes, num_messages=num_messages)
-        return self._charge(cost)
+        return charge(self.clock, cost)
 
     def message(self, num_messages: int = 1) -> float:
         """Charge control-plane messages (page pin/unpin metadata etc.)."""
@@ -125,4 +122,4 @@ class NetworkLink:
         if tracer is not None:
             tracer.span("net.message", "network", tracer.now, cost,
                         num_messages=num_messages)
-        return self._charge(cost)
+        return charge(self.clock, cost)

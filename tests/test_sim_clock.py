@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import SimClock, TickCounter
+from repro.sim.clock import SimClock, TickCounter, synchronize
 
 
 class TestSimClock:
@@ -30,15 +30,22 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-0.1)
 
-    def test_advance_to_moves_forward(self):
-        clock = SimClock()
-        clock.advance_to(10.0)
+    def test_synchronize_moves_clocks_forward(self):
+        early, late = SimClock(), SimClock(10.0)
+        assert synchronize([early, late]) == 10.0
+        assert early.now == 10.0
+
+    def test_synchronize_never_rewinds(self):
+        clock = SimClock(10.0)
+        synchronize([clock, SimClock(5.0)])
         assert clock.now == 10.0
 
-    def test_advance_to_never_rewinds(self):
-        clock = SimClock(10.0)
-        clock.advance_to(5.0)
-        assert clock.now == 10.0
+    def test_charges_add_as_whole_ticks(self):
+        clock = SimClock()
+        for _ in range(10):
+            clock.advance(0.1)
+        assert clock.ticks == 10**12
+        assert clock.now == 1.0
 
     def test_reset(self):
         clock = SimClock()
