@@ -162,11 +162,11 @@ class PangeaKMeans:
                         shard.node.cpu.compute(
                             logical * NORM_SECONDS_PER_POINT, workers=self.workers
                         )
-                        for point in page.records:
-                            norm = float(np.dot(point, point))
-                            writer.add_object((point, norm))
-                            if len(sample) < self.k:
-                                sample.append(np.array(point))
+                        writer.add_data(
+                            [(point, float(np.dot(point, point))) for point in page.records]
+                        )
+                        for point in page.records[: self.k - len(sample)]:
+                            sample.append(np.array(point))
             finally:
                 writer.flush()
                 writer.close()

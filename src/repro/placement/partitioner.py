@@ -120,9 +120,10 @@ def partition_set(
 
     Scans the source through the sequential read service, routes every
     record by the partition computation, and writes it to the partition's
-    home node through the sequential write service; records that move
-    across nodes charge the sender's network link.  The target's partition
-    scheme is registered in the statistics database.
+    home node through the sequential write service, one batch per source
+    page and destination (record order kept within each batch); records
+    that move across nodes charge the sender's network link.  The target's
+    partition scheme is registered in the statistics database.
     """
     from repro.services.sequential import ShardWriters, make_shard_iterators
 
@@ -135,13 +136,16 @@ def partition_set(
             pending_network = 0
             for iterator in make_shard_iterators(shard):
                 for page in iterator:
+                    shard.node.cpu.per_object(len(page.records))
+                    batches: list[list] = [[] for _ in node_ids]
                     for record in page.records:
-                        shard.node.cpu.per_object(1)
-                        partition = partitioner.partition_of(record)
-                        dest = node_ids[partition % num_nodes]
-                        writers.add_object(dest, record, source.object_bytes)
+                        batches[partitioner.partition_of(record) % num_nodes].append(record)
+                    for dest, batch in zip(node_ids, batches):
+                        if not batch:
+                            continue
+                        writers.add_many(dest, batch, source.object_bytes)
                         if dest != node_id:
-                            pending_network += source.object_bytes
+                            pending_network += len(batch) * source.object_bytes
             if pending_network:
                 shard.node.network.transfer(
                     pending_network,

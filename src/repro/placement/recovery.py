@@ -174,18 +174,24 @@ def _recover_replica(
                 moved_bytes = 0
                 for iterator in make_shard_iterators(shard, workers):
                     for page in iterator:
+                        shard.node.cpu.per_object(
+                            len(page.records), workers=workers, factor=2.0
+                        )
+                        batches: list[list] = [[] for _ in survivors]
                         for record in page.records:
-                            shard.node.cpu.per_object(1, workers=workers, factor=2.0)
                             if not is_lost(record):
                                 continue
                             object_id = object_id_fn(record)
                             if object_id in recovered_ids:
                                 continue
                             recovered_ids.add(object_id)
-                            dest = survivors[stable_index(object_id, len(survivors))]
-                            writers.add_object(dest, record, target.object_bytes)
+                            batches[stable_index(object_id, len(survivors))].append(record)
+                        for dest, batch in zip(survivors, batches):
+                            if not batch:
+                                continue
+                            writers.add_many(dest, batch, target.object_bytes)
                             if dest != node_id:
-                                moved_bytes += target.object_bytes
+                                moved_bytes += len(batch) * target.object_bytes
                 if moved_bytes:
                     shard.node.network.transfer(
                         moved_bytes, num_messages=max(1, moved_bytes // (4 << 20))
@@ -240,15 +246,22 @@ def _recover_colliding(
             shard = group.colliding_set.shards[node_id]
             for iterator in make_shard_iterators(shard, workers):
                 for page in iterator:
+                    shard.node.cpu.per_object(len(page.records), workers=workers)
+                    lost = []
                     for record in page.records:
-                        shard.node.cpu.per_object(1, workers=workers)
                         object_id = object_id_fn(record)
-                        if object_id not in lost_home_ids:
-                            continue
-                        for member, survivors, writers in targets:
-                            dest = survivors[stable_index(object_id, len(survivors))]
-                            writers.add_object(dest, record, member.object_bytes)
-                        recovered += 1
+                        if object_id in lost_home_ids:
+                            lost.append((object_id, record))
+                    # Each member takes the page's lost records in one batch
+                    # per destination, members in group order.
+                    for member, survivors, writers in targets:
+                        batches: list[list] = [[] for _ in survivors]
+                        for object_id, record in lost:
+                            batches[stable_index(object_id, len(survivors))].append(record)
+                        for dest, batch in zip(survivors, batches):
+                            if batch:
+                                writers.add_many(dest, batch, member.object_bytes)
+                    recovered += len(lost)
     report.objects_recovered += recovered * len(group.members)
     return recovered
 

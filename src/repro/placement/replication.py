@@ -186,6 +186,9 @@ def _refresh_colliding_set(cluster: "PangeaCluster", group: ReplicationGroup) ->
     )
     node_ids = sorted(safety.shards)
     with ShardWriters(safety, node_ids) as writers:
+        # Record at a time: each copy is its own network transfer, charged
+        # and quantised once per copy with one fault draw; fusing them would
+        # re-round the charges.
         for object_id, record in samples.items():
             # HDFS-style: the safety copy lives on a *different* node.
             home = home_node[object_id]

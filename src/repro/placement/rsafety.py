@@ -82,6 +82,9 @@ def ensure_r_safety(
         )
     node_ids = sorted(safety.shards)
     with ShardWriters(safety, node_ids) as writers:
+        # Record at a time: each copy is its own network transfer, charged
+        # and quantised once per copy with one fault draw; fusing them would
+        # re-round the charges.
         for oid, nodes in unsafe.items():
             record = sample_of.get(oid)
             if record is None:
@@ -136,8 +139,8 @@ def recover_concurrent_failures(
                 continue
             for iterator in make_shard_iterators(shard, workers):
                 for page in iterator:
+                    shard.node.cpu.per_object(len(page.records), workers=workers)
                     for record in page.records:
-                        shard.node.cpu.per_object(1, workers=workers)
                         survivors.setdefault(object_id_fn(record), record)
 
     # Determine which objects each member lost, and restore them.

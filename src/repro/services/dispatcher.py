@@ -89,6 +89,8 @@ class Dispatcher:
         pending_bytes = {nid: 0 for nid in node_ids}
         with ShardWriters(self.dataset, node_ids) as writers:
             try:
+                # Record at a time: a node's batch ships the moment its
+                # pending bytes cross ``batch_bytes``, between two writes.
                 for record in records:
                     node_id = node_ids[route(record) % len(node_ids)]
                     writers.add_object(node_id, record, nbytes)

@@ -122,6 +122,9 @@ class SequentialWriter:
             self.shard.unpin_page(self._page)
             self._page = None
         if self._page is None:
+            # A node that crashed (at the seal above or elsewhere) cannot
+            # pin the next page: the write fails here.
+            _check_alive(self.shard)
             # The data proxy exchanges a PinPage message with the storage
             # process before writing through shared memory (paper Fig. 2).
             self.shard.node.network.message(2)
@@ -130,26 +133,36 @@ class SequentialWriter:
 
     def add_object(self, record: object, nbytes: int | None = None) -> None:
         """Sequential-write one record."""
+        self.add_data([record], nbytes)
+
+    def add_data(self, records: list, nbytes_each: int | None = None) -> None:
+        """Sequential-write a batch of same-size records, a page at a time.
+
+        Each page takes as many records as fit with one ``Page.extend``,
+        and that slice is charged with one ``cpu.records`` call before the
+        next page is pinned.  The batch therefore costs exactly what a loop
+        of :meth:`add_object` costs, also when a crash interrupts it.  A
+        size that cannot fit a page, or is negative, is rejected before
+        anything is touched.
+        """
         if not self._attached:
             raise RuntimeError("writer is not attached (use it as a context manager)")
-        nbytes = self.shard.dataset.object_bytes if nbytes is None else nbytes
+        nbytes = self.shard.dataset.object_bytes if nbytes_each is None else nbytes_each
         if nbytes > self.shard.page_size:
             raise ValueError(
                 f"a {nbytes}-byte object cannot fit a {self.shard.page_size}-byte page"
             )
-        page = self._current_page(nbytes)
-        page.append(record, nbytes)
-        self.shard.node.cpu.records(1, nbytes, workers=self.workers)
-
-    def add_data(self, records: list, nbytes_each: int | None = None) -> None:
-        """Sequential-write a batch (single bulk cost charge)."""
-        if not self._attached:
-            raise RuntimeError("writer is not attached (use it as a context manager)")
-        nbytes = self.shard.dataset.object_bytes if nbytes_each is None else nbytes_each
-        for record in records:
+        if nbytes < 0:
+            raise ValueError(f"object size must be non-negative, got {nbytes}")
+        cpu = self.shard.node.cpu
+        start = 0
+        while start < len(records):
             page = self._current_page(nbytes)
-            page.append(record, nbytes)
-        self.shard.node.cpu.records(len(records), nbytes, workers=self.workers)
+            end = len(records) if nbytes == 0 else start + page.free_bytes // nbytes
+            batch = records[start:end]
+            page.extend(batch, nbytes)
+            cpu.records(len(batch), nbytes, workers=self.workers)
+            start += len(batch)
 
     def flush(self) -> None:
         """Seal the current page early (stage boundary)."""
@@ -166,10 +179,12 @@ class ShardWriters:
     Entering attaches a writer to each shard in ``node_ids`` order; leaving,
     also on error, flushes and then closes each writer in that same order.
     Callers route every record themselves and charge their own network
-    transfers:
+    transfers; ``add_many`` writes a batch bound for one node a page at a
+    time:
 
     >>> with ShardWriters(dataset, [0, 1]) as writers:   # doctest: +SKIP
     ...     writers.add_object(1, record, nbytes=80)
+    ...     writers.add_many(0, [record, record], nbytes=80)
     """
 
     def __init__(
@@ -193,6 +208,11 @@ class ShardWriters:
     def add_object(self, node_id: int, record: object, nbytes: int) -> None:
         """Sequential-write one record to the shard on ``node_id``."""
         self._writers[node_id].add_object(record, nbytes)
+
+    def add_many(self, node_id: int, records: list, nbytes: int) -> None:
+        """Sequential-write a batch to the shard on ``node_id``, a page at a
+        time (see :meth:`SequentialWriter.add_data`)."""
+        self._writers[node_id].add_data(records, nbytes)
 
 
 class _SharedCursor:

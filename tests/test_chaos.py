@@ -8,14 +8,19 @@ read-repair, one automatic recovery), and replaying the same seed must
 reproduce the identical fault schedule and statistics.  A second job
 runs a repartition join plus aggregation through the query scheduler
 under the same kind of transient faults: its rows must equal a
-fault-free run's, and a replay must reproduce it bit for bit.
+fault-free run's, and a replay must reproduce it bit for bit.  Further
+jobs recover a three-member group under the same faults, and crash a node
+at the ``mid-write`` point while a replicated TPC-H table is partitioned.
 
 The seed comes from ``PANGEA_FAULT_SEED`` so CI can sweep a matrix of
 schedules; any failure is reproducible locally by exporting the seed.
 """
 
 import os
+import random
 from collections import Counter
+
+import pytest
 
 from repro import FaultConfig, FaultInjector, MachineProfile, PangeaCluster
 from repro.placement.partitioner import HashPartitioner, partition_set
@@ -23,8 +28,11 @@ from repro.placement.recovery import recover_node
 from repro.placement.replication import register_replica
 from repro.query.operators import ScanNode
 from repro.query.scheduler import QueryScheduler
+from repro.services.sequential import NodeFailedError
 from repro.sim.devices import KB, MB
 from repro.sim.metrics import aggregate_robustness
+from repro.tpch import TpchGenerator
+from repro.tpch.schema import ROW_BYTES
 
 SEED = int(os.environ.get("PANGEA_FAULT_SEED", "20260805"))
 ROWS = 600
@@ -188,6 +196,59 @@ def run_recovery_chaos(seed):
     }
 
 
+def run_partition_crash_chaos(seed):
+    """Partition a replicated TPC-H lineitem while a node crashes mid-write.
+
+    lineitem is loaded and replicated by ``l_orderkey`` under the rate
+    faults; then a seed-chosen node is scheduled to crash at its next
+    ``mid-write`` point, and a second replica is partitioned by
+    ``l_partkey``.  Returns the crash, the target's page layout and the
+    clocks for the replay check.
+    """
+    cluster = PangeaCluster(
+        num_nodes=4, profile=MachineProfile.tiny(pool_bytes=32 * MB)
+    )
+    injector = FaultInjector(seed=seed, config=RATE_FAULTS).attach(cluster)
+
+    def create(name):
+        return cluster.create_set(
+            name, durability="write-through", page_size=16 * KB,
+            object_bytes=ROW_BYTES["lineitem"],
+        )
+
+    def object_id(row):
+        return (row["l_orderkey"], row["l_linenumber"])
+
+    src = create("lineitem")
+    src.add_data(TpchGenerator(scale=0.0005, seed=7).lineitem())
+    by_order = create("lineitem_by_l_orderkey")
+    partition_set(
+        src, by_order, HashPartitioner(lambda r: r["l_orderkey"], 16, key_name="l_orderkey")
+    )
+    register_replica(src, by_order, object_id_fn=object_id)
+    crash_node = random.Random(seed).randrange(cluster.num_nodes)
+    injector.schedule_crash("mid-write", node_id=crash_node, at_count=1)
+    by_part = create("lineitem_by_l_partkey")
+    with pytest.raises(NodeFailedError) as raised:
+        partition_set(
+            src, by_part, HashPartitioner(lambda r: r["l_partkey"], 16, key_name="l_partkey")
+        )
+    layout = {
+        node_id: [
+            (page.page_id, [object_id(row) for row in page.records], page.sealed)
+            for page in shard.pages
+        ]
+        for node_id, shard in by_part.shards.items()
+    }
+    return {
+        "crash_node": crash_node,
+        "raised": (raised.value.node_id, raised.value.set_name),
+        "layout": layout,
+        "clocks": [node.clock.now.hex() for node in cluster.nodes],
+        "injected": injector.stats.as_dict(),
+    }
+
+
 class TestChaos:
     def test_chaos_job_survives_and_heals(self):
         stats, injected, _seconds = run_chaos(SEED)
@@ -229,3 +290,16 @@ class TestChaos:
 
     def test_three_member_recovery_replay_is_bit_identical(self):
         assert run_recovery_chaos(SEED) == run_recovery_chaos(SEED)
+
+    def test_mid_write_crash_during_partition_set_raises(self):
+        result = run_partition_crash_chaos(SEED)
+        crash_node = result["crash_node"]
+        assert result["raised"] == (crash_node, "lineitem_by_l_partkey")
+        assert result["injected"]["crashes"] == 1
+        # The crash hit the seal of the node's first full page: that page
+        # is sealed and holds records, and no later page was pinned.
+        pages = result["layout"][crash_node]
+        assert len(pages) == 1 and pages[0][1] and pages[0][2]
+
+    def test_mid_write_crash_replay_is_bit_identical(self):
+        assert run_partition_crash_chaos(SEED) == run_partition_crash_chaos(SEED)

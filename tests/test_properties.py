@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import MachineProfile, PangeaCluster
+from repro import FaultInjector, MachineProfile, PangeaCluster
 from repro.fs.page_file import page_checksum
 from repro.query.batch import BatchStepRunner
 from repro.query.pipeline import run_steps
 from repro.services.hashsvc import VirtualHashBuffer
+from repro.services.sequential import NodeFailedError, ShardWriters
 from repro.services.shuffle import ShuffleService
 from repro.sim.clock import SimClock
 from repro.sim.devices import KB, MB, CpuProfile
@@ -219,7 +220,8 @@ def test_aggregation_identical_under_every_policy(pairs, policy):
 
 
 def _chunks(items: list, sizes: list) -> list:
-    """``items`` cut into consecutive slices whose lengths cycle ``sizes``."""
+    """``items`` cut into consecutive slices whose lengths cycle ``sizes``
+    (a size of 0 gives an empty slice)."""
     out, start, turn = [], 0, 0
     while start < len(items):
         size = sizes[turn % len(sizes)]
@@ -281,6 +283,67 @@ def test_write_batch_equals_per_record_add_object(partitions, chunk_sizes, nbyte
     batched = _shuffle_run(partitions, chunk_sizes, nbytes, with_node, batched=True)
     per_record = _shuffle_run(partitions, chunk_sizes, nbytes, with_node, batched=False)
     assert batched == per_record
+
+
+def _writer_run(chunks, dests, page_size, nbytes, durability, crash_at, batched):
+    cluster = PangeaCluster(num_nodes=2, profile=_odd_profile(16 * MB))
+    if crash_at:
+        FaultInjector(seed=0).attach(cluster).schedule_crash(
+            "mid-write", node_id=0, at_count=crash_at
+        )
+    data = cluster.create_set("w", durability=durability, page_size=page_size)
+    raised = None
+    try:
+        with ShardWriters(data, [0, 1]) as writers:
+            for chunk, dest in zip(chunks, dests):
+                if batched:
+                    writers.add_many(dest, chunk, nbytes)
+                else:
+                    for record in chunk:
+                        writers.add_object(dest, record, nbytes)
+    except NodeFailedError as exc:
+        raised = exc.node_id
+    pages = [
+        [(p.page_id, list(p.records), p.sealed, p.on_disk) for p in shard.pages]
+        for shard in data.shards.values()
+    ]
+    written = [node.disks.total_bytes_written() for node in cluster.nodes]
+    return raised, pages, _ticks(cluster), written
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.lists(st.integers(min_value=0, max_value=90), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=6),
+    st.sampled_from([4 * KB, 5 * KB, 64 * KB]),
+    st.sampled_from([0, 1, 100, 256, 1000, 4 * KB]),
+    st.sampled_from(["write-back", "write-through"]),
+    st.integers(min_value=0, max_value=4),
+)
+def test_add_many_equals_a_loop_of_add_object(
+    count, chunk_sizes, dest_cycle, page_size, nbytes, durability, crash_at
+):
+    """Batches of any size (empty ones included), to either node, land on
+    the per-record loop's page ids, page contents, sealed/on-disk flags,
+    clock ticks and disk bytes; a crash at the n-th ``mid-write`` on node 0
+    raises at the same record in both runs.  4 KB records fit a 4 KB page
+    exactly; 256-byte records fit 4 and 64 KB pages exactly."""
+    assume(count == 0 or any(chunk_sizes))
+    chunks = _chunks(list(range(count)), chunk_sizes)
+    dests = [dest_cycle[i % len(dest_cycle)] for i in range(len(chunks))]
+    args = (chunks, dests, page_size, nbytes, durability, crash_at)
+    assert _writer_run(*args, batched=True) == _writer_run(*args, batched=False)
+
+
+def test_empty_add_many_allocates_no_page_and_charges_nothing():
+    cluster = PangeaCluster(num_nodes=2, profile=_odd_profile())
+    data = cluster.create_set("w", durability="write-through", page_size=4 * KB)
+    with ShardWriters(data, [0, 1]) as writers:
+        writers.add_many(0, [], 100)
+        writers.add_many(1, [], 100)
+    assert _ticks(cluster) == [0, 0]
+    assert all(shard.pages == [] for shard in data.shards.values())
 
 
 _STEP_MENU = {

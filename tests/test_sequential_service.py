@@ -2,8 +2,16 @@
 
 import pytest
 
-from repro import CurrentOperation, MachineProfile, PangeaCluster, ReadingPattern, WritingPattern
+from repro import (
+    CurrentOperation,
+    FaultInjector,
+    MachineProfile,
+    PangeaCluster,
+    ReadingPattern,
+    WritingPattern,
+)
 from repro.services.sequential import (
+    NodeFailedError,
     PageIterator,
     SequentialWriter,
     ShardWriters,
@@ -68,6 +76,43 @@ class TestSequentialWriter:
             writer.add_data(["x"] * 1000, nbytes_each=100)
         assert cluster.nodes[0].clock.now > before
 
+    @pytest.mark.parametrize("nbytes", [5 * MB, -1])
+    def test_unfit_size_rejected_before_any_effect(self, nbytes):
+        cluster = PangeaCluster(num_nodes=1, profile=MachineProfile.tiny(pool_bytes=16 * MB))
+        data = cluster.create_set(
+            "s", durability="write-through", page_size=4 * MB, nodes=[0]
+        )
+        node, shard = cluster.nodes[0], data.shards[0]
+
+        def state():
+            return (
+                node.clock.ticks,
+                [(page.page_id, page.sealed, page.on_disk) for page in shard.pages],
+                node.disks.total_bytes_written(),
+            )
+
+        with SequentialWriter(shard) as writer:
+            writer.add_object("open", nbytes=1 * MB)
+            before = state()
+            with pytest.raises(ValueError):
+                writer.add_data([1, 2, 3], nbytes_each=nbytes)
+            assert state() == before
+            assert shard.pages[0].records == ["open"]
+
+    def test_crash_at_mid_write_fails_the_write_at_the_page_boundary(self):
+        cluster = PangeaCluster(num_nodes=1, profile=MachineProfile.tiny(pool_bytes=8 * MB))
+        injector = FaultInjector(seed=1).attach(cluster)
+        injector.schedule_crash("mid-write", node_id=0, at_count=1)
+        data = cluster.create_set("s", page_size=1 * MB, nodes=[0])
+        with pytest.raises(NodeFailedError) as raised:
+            with SequentialWriter(data.shards[0]) as writer:
+                writer.add_data(list(range(25)), nbytes_each=100 * 1024)
+        assert raised.value.node_id == 0
+        shard = data.shards[0]
+        assert [page.records for page in shard.pages] == [list(range(10))]
+        assert shard.pages[0].sealed and not shard.pages[0].pinned
+        assert data.active_writers == 0
+
 
 class TestShardWriters:
     def test_routes_records_to_the_named_node(self, cluster):
@@ -79,6 +124,14 @@ class TestShardWriters:
         assert data.shards[0].num_objects == 1
         assert data.shards[1].num_objects == 2
         assert all(page.sealed for shard in data.shards.values() for page in shard.pages)
+
+    def test_add_many_writes_a_batch_to_the_named_node(self, cluster):
+        data = cluster.create_set("s", page_size=1 * MB)
+        with ShardWriters(data, [0, 1]) as writers:
+            writers.add_many(1, ["x", "y", "z"], nbytes=400 * 1024)
+            writers.add_many(0, [], nbytes=400 * 1024)
+        assert data.shards[0].pages == []
+        assert [page.records for page in data.shards[1].pages] == [["x", "y"], ["z"]]
 
     def test_flushes_then_closes_in_node_order_also_on_error(self, cluster, monkeypatch):
         data = cluster.create_set("s", page_size=1 * MB)
