@@ -190,8 +190,11 @@ class LocalShard:
 
     def stored_records(self, page: Page) -> list:
         """The page's records, or else its disk image read metadata-side
-        (no I/O charged, no checksum check; see :meth:`SetFile.peek_records`)."""
+        (no I/O charged; see :meth:`SetFile.peek_records`).  A disk image
+        that fails its checksum reads as empty (:meth:`SetFile.image_intact`)."""
         if not page.records and page.on_disk:
+            if not self.file.image_intact(page.page_id):
+                return []
             return self.file.peek_records(page.page_id)
         return page.records
 

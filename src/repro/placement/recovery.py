@@ -15,7 +15,7 @@ import contextlib
 import typing
 from dataclasses import dataclass, field
 
-from repro.placement.replication import stable_index
+from repro.placement.replication import ids_lost_from, stable_index
 from repro.services.sequential import ShardWriters, make_shard_iterators
 from repro.sim.faults import fire_point
 
@@ -118,22 +118,6 @@ def recover_node(
     return report
 
 
-def _ids_lost_from(target: "LocalitySet", failed_node: int, object_id_fn) -> set:
-    """Ids whose target copy was on the failed node (metadata-side scan).
-
-    For partitioned replicas the lost key range is computable; for a
-    randomly dispatched replica the system consults the replica's own
-    object index, which we model from the failed shard's page images
-    without charging data I/O (it is metadata the manager already holds).
-    """
-    shard = target.shards[failed_node]
-    return {
-        object_id_fn(record)
-        for page in shard.pages
-        for record in shard.stored_records(page)
-    }
-
-
 def _colliding_lost_on(group: "ReplicationGroup", failed_node: int) -> set:
     """Colliding ids homed on the failed node: lost from every member."""
     return {oid for oid, home in group.colliding_home.items() if home == failed_node}
@@ -160,7 +144,7 @@ def _recover_replica(
         raise ValueError("a replication group needs at least two members to recover")
     lost_ids = None
     if target.partitioner is None or len(sources) > 1:
-        lost_ids = _ids_lost_from(target, failed_node, object_id_fn)
+        lost_ids = ids_lost_from(target, [failed_node], object_id_fn)
     survivors = [nid for nid in sorted(target.shards) if nid != failed_node]
     recovered_ids: set = set()
     with ShardWriters(target, survivors, workers) as writers:

@@ -71,16 +71,6 @@ class ReplicationGroup:
         return len(self.colliding_ids)
 
 
-def _object_nodes(dataset: "LocalitySet", object_id_fn) -> dict:
-    """Map object id -> set of node ids holding a copy in this replica."""
-    placement: dict = {}
-    for node_id, shard in dataset.shards.items():
-        for page in shard.pages:
-            for record in _intact_records(shard, page):
-                placement.setdefault(object_id_fn(record), set()).add(node_id)
-    return placement
-
-
 def _intact_records(shard, page) -> list:
     """The page's records, read and checksum-verified; a corrupt disk image
     reads as empty, as if its objects were lost with a crashed node."""
@@ -112,71 +102,60 @@ def register_replica(
     if replica not in group.members:
         group.members.append(replica)
         replica.replica_group_id = group.group_id
-    _index_page_images(group)
     _refresh_colliding_set(cluster, group)
     cluster.manager.update_statistics(source)
     cluster.manager.update_statistics(replica)
     return group
 
 
-def _index_page_images(group: ReplicationGroup) -> None:
-    """Backfill the members' page-image indexes (read-repair support).
-
-    Pages persisted before the set joined the group were never indexed by
-    ``note_page_image``; this scan fixes that using the metadata-side
-    payload view (no data I/O is charged).  An evicted page whose disk
-    image fails its checksum is not indexed from that payload: without an
-    index from when it was persisted, reading it raises
-    :class:`~repro.sim.faults.PageCorruptionError` rather than "repairing"
-    the page to the ids of its corrupt payload.  Resident pages are
-    indexed from their records, which are not re-checksummed.
-    """
-    object_id_fn = group.object_id_fn
-    if object_id_fn is None:
-        return
-    for member in group.members:
-        for node_id, shard in member.shards.items():
-            for page in shard.pages:
-                if not page.on_disk:
-                    continue
-                if not page.records and not shard.file.image_intact(page.page_id):
-                    continue
-                ids = [object_id_fn(r) for r in shard.stored_records(page)]
-                member.remember_page_ids(node_id, page.page_id, ids)
-
-
 def _refresh_colliding_set(cluster: "PangeaCluster", group: ReplicationGroup) -> None:
-    """Recompute colliding objects and (re)build their safety set."""
+    """Recompute colliding objects and (re)build their safety set.
+
+    One read of every member's pages does all the per-record work: it
+    backfills the page-image indexes (read-repair support) for pages
+    persisted before their set joined the group, and maps each object id
+    to the one node seen holding it.  A page whose disk image fails its
+    checksum is skipped, not indexed: reading it later raises
+    :class:`~repro.sim.faults.PageCorruptionError` rather than "repairing"
+    the page to the ids of its corrupt payload.
+    """
     object_id_fn = group.object_id_fn
     if object_id_fn is None or len(group.members) < 2:
         return
-    combined: dict = {}
-    samples: dict = {}
+    # object id -> the one node seen holding it; None once seen on two
+    homes: dict = {}
     for member in group.members:
-        for object_id, nodes in _object_nodes(member, object_id_fn).items():
-            combined.setdefault(object_id, set()).update(nodes)
-    # Keep one record sample per colliding id, pulled from the first member.
-    colliding = {oid for oid, nodes in combined.items() if len(nodes) == 1}
-    group.colliding_ids = colliding
-    group.colliding_home = {
-        oid: next(iter(nodes))
-        for oid, nodes in combined.items()
-        if oid in colliding
-    }
+        for node_id, shard in member.shards.items():
+            for page in shard.pages:
+                try:
+                    records = shard.read_records(page)
+                except PageCorruptionError:
+                    continue
+                ids = [object_id_fn(record) for record in records]
+                if page.on_disk:
+                    member.remember_page_ids(node_id, page.page_id, ids)
+                for object_id in ids:
+                    if homes.setdefault(object_id, node_id) != node_id:
+                        homes[object_id] = None
+    group.colliding_home = {oid: home for oid, home in homes.items() if home is not None}
+    group.colliding_ids = set(group.colliding_home)
     if group.colliding_set is not None:
         cluster.drop_set(group.colliding_set.name)
         group.colliding_set = None
-    if not colliding:
+    if not group.colliding_home:
         return
-    home_node: dict = {}
+    # Keep one record sample per colliding id, pulled from the first member
+    # by a second read of its pages.  Kept apart on purpose: the evicted
+    # pages it reads are charged again, and that charge is part of
+    # registration's simulated cost.
+    samples: dict = {}
     first = group.members[0]
-    for node_id, shard in first.shards.items():
+    for shard in first.shards.values():
         for page in shard.pages:
             for record in _intact_records(shard, page):
                 object_id = object_id_fn(record)
-                if object_id in colliding and object_id not in samples:
+                if object_id in group.colliding_home and object_id not in samples:
                     samples[object_id] = record
-                    home_node[object_id] = node_id
     safety_name = f"__colliding_group{group.group_id}"
     safety = cluster.create_set(
         safety_name,
@@ -191,7 +170,7 @@ def _refresh_colliding_set(cluster: "PangeaCluster", group: ReplicationGroup) ->
         # re-round the charges.
         for object_id, record in samples.items():
             # HDFS-style: the safety copy lives on a *different* node.
-            home = home_node[object_id]
+            home = group.colliding_home[object_id]
             choices = [nid for nid in node_ids if nid != home] or node_ids
             dest = choices[stable_index(object_id, len(choices))]
             writers.add_object(dest, record, first.object_bytes)
@@ -199,6 +178,30 @@ def _refresh_colliding_set(cluster: "PangeaCluster", group: ReplicationGroup) ->
                 first.shards[home].node.network.transfer(first.object_bytes)
     group.colliding_set = safety
     cluster.barrier()
+
+
+def ids_lost_from(target: "LocalitySet", failed_nodes, object_id_fn) -> set:
+    """Ids whose ``target`` copy was on a failed node (metadata-side scan).
+
+    For partitioned replicas the lost key range is computable; for a
+    randomly dispatched replica the system consults the replica's own
+    object index, which we model from the failed shards' page images
+    without charging data I/O (it is metadata the manager already holds).
+    A corrupt image's ids come from the set's page-image index; a page
+    that was never indexed reads as empty.
+    """
+    lost: set = set()
+    for node_id in failed_nodes:
+        shard = target.shards.get(node_id)
+        if shard is None:
+            continue
+        for page in shard.pages:
+            records = shard.stored_records(page)
+            if records or not page.on_disk:
+                lost.update(object_id_fn(record) for record in records)
+            else:
+                lost.update(target.page_image_ids(node_id, page.page_id) or ())
+    return lost
 
 
 def stable_index(object_id: object, modulus: int) -> int:

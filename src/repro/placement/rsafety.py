@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.placement.replication import ReplicationGroup, stable_index
+from repro.placement.replication import ReplicationGroup, ids_lost_from, stable_index
 from repro.services.sequential import ShardWriters, make_shard_iterators
 from repro.util import stable_hash
 
@@ -146,14 +146,7 @@ def recover_concurrent_failures(
     # Determine which objects each member lost, and restore them.
     report = {"recovered": 0, "unrecoverable": 0, "seconds": 0.0}
     for member in group.members:
-        lost_ids: set = set()
-        for node_id in failed:
-            if node_id not in member.shards:
-                continue
-            shard = member.shards[node_id]
-            for page in shard.pages:
-                for record in shard.stored_records(page):
-                    lost_ids.add(object_id_fn(record))
+        lost_ids = ids_lost_from(member, failed, object_id_fn)
         alive = [nid for nid in sorted(member.shards) if nid not in failed]
         with ShardWriters(member, alive, workers) as writers:
             for oid in lost_ids:

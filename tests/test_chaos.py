@@ -9,8 +9,9 @@ reproduce the identical fault schedule and statistics.  A second job
 runs a repartition join plus aggregation through the query scheduler
 under the same kind of transient faults: its rows must equal a
 fault-free run's, and a replay must reproduce it bit for bit.  Further
-jobs recover a three-member group under the same faults, and crash a node
-at the ``mid-write`` point while a replicated TPC-H table is partitioned.
+jobs recover a three-member group under the same faults, crash a node at
+the ``mid-write`` point while a replicated TPC-H table is partitioned, and
+make a group with one corrupted disk image safe against two failures.
 
 The seed comes from ``PANGEA_FAULT_SEED`` so CI can sweep a matrix of
 schedules; any failure is reproducible locally by exporting the seed.
@@ -26,6 +27,7 @@ from repro import FaultConfig, FaultInjector, MachineProfile, PangeaCluster
 from repro.placement.partitioner import HashPartitioner, partition_set
 from repro.placement.recovery import recover_node
 from repro.placement.replication import register_replica
+from repro.placement.rsafety import ensure_r_safety, object_node_spread
 from repro.query.operators import ScanNode
 from repro.query.scheduler import QueryScheduler
 from repro.services.sequential import NodeFailedError
@@ -249,6 +251,67 @@ def run_partition_crash_chaos(seed):
     }
 
 
+def run_r_safety_chaos(seed):
+    """Make a group 2-safe under rate faults after one image is corrupted.
+
+    A randomly dispatched set and a partitioned replica are registered and
+    spilled; one seed-chosen evicted image is corrupted; then
+    ``ensure_r_safety(r=2)`` runs.  Returns the ids of the first member's
+    intact copies, each object's node spread, every set's page layout, and
+    the clocks for the replay check.
+    """
+    cluster = PangeaCluster(
+        num_nodes=4, profile=MachineProfile.tiny(pool_bytes=32 * MB)
+    )
+    injector = FaultInjector(seed=seed, config=RATE_FAULTS).attach(cluster)
+    src = cluster.create_set("lineitem", page_size=4 * KB, object_bytes=100)
+    src.add_data([{"id": i, "orderkey": i // 4} for i in range(ROWS)])
+    by_order = cluster.create_set("li_by_orderkey", page_size=4 * KB, object_bytes=100)
+    partition_set(
+        src, by_order, HashPartitioner(lambda r: r["orderkey"], 16, key_name="orderkey")
+    )
+    group = register_replica(src, by_order, object_id_fn=lambda r: r["id"])
+    for member in group.members:
+        for shard in member.shards.values():
+            for page in shard.resident_unpinned_pages():
+                shard.evict_page(page)
+    evicted = [
+        (shard, page)
+        for member in group.members
+        for shard in member.shards.values()
+        for page in shard.pages
+        if page.on_disk and not page.records
+    ]
+    shard, page = random.Random(seed).choice(evicted)
+    injector.corrupt_page(shard, page.page_id)
+
+    ensure_r_safety(cluster, group, r=2)
+
+    sets = [*group.members, group.colliding_set, *group.extra_safety_sets]
+    layout = {
+        dataset.name: [
+            (node_id, page.page_id, page.on_disk,
+             [record["id"] for record in shard.stored_records(page)])
+            for node_id, shard in sorted(dataset.shards.items())
+            for page in shard.pages
+        ]
+        for dataset in sets
+        if dataset is not None
+    }
+    return {
+        "first_member_ids": {
+            record["id"]
+            for shard in src.shards.values()
+            for page in shard.pages
+            for record in shard.stored_records(page)
+        },
+        "spread": object_node_spread(group),
+        "layout": layout,
+        "clocks": [node.clock.now.hex() for node in cluster.nodes],
+        "injected": injector.stats.as_dict(),
+    }
+
+
 class TestChaos:
     def test_chaos_job_survives_and_heals(self):
         stats, injected, _seconds = run_chaos(SEED)
@@ -303,3 +366,14 @@ class TestChaos:
 
     def test_mid_write_crash_replay_is_bit_identical(self):
         assert run_partition_crash_chaos(SEED) == run_partition_crash_chaos(SEED)
+
+    def test_r_safety_with_a_corrupt_image_completes(self):
+        result = run_r_safety_chaos(SEED)
+        assert result["injected"]["corruptions_injected"] == 1
+        assert result["first_member_ids"]
+        spread = result["spread"]
+        assert all(len(spread[oid]) >= 3 for oid in result["first_member_ids"])
+        assert "__rsafety_group1_r2" in result["layout"]
+
+    def test_r_safety_chaos_replay_is_bit_identical(self):
+        assert run_r_safety_chaos(SEED) == run_r_safety_chaos(SEED)

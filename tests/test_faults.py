@@ -18,6 +18,7 @@ from repro import (
 from repro.fs.page_file import CORRUPTION_SENTINEL, SetFile, page_checksum
 from repro.placement.partitioner import HashPartitioner, partition_set
 from repro.placement.replication import register_replica
+from repro.placement.rsafety import ensure_r_safety, object_node_spread
 from repro.sim.clock import SimClock
 from repro.sim.devices import KB, MB, DiskArray, DiskDevice
 from repro.sim.faults import TransientDiskError
@@ -366,10 +367,12 @@ class TestCorruptImagesAtRegistration:
     group: a corrupt disk image is left out of the group's page index, so
     reading it raises instead of "repairing" from the corrupt payload."""
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_register_replica_skips_corrupt_images(self, seed):
+    @staticmethod
+    def load_corrupting(seed, num_nodes=4):
+        """``rep_a`` and ``rep_b`` of one 1600-row set, partitioned on a
+        spilling cluster whose disk writes corrupt one image in five."""
         cluster = PangeaCluster(
-            num_nodes=4, profile=MachineProfile.tiny(pool_bytes=256 * KB)
+            num_nodes=num_nodes, profile=MachineProfile.tiny(pool_bytes=256 * KB)
         )
         FaultInjector(seed=seed, config=FaultConfig(corruption_rate=0.2)).attach(cluster)
 
@@ -384,6 +387,11 @@ class TestCorruptImagesAtRegistration:
         partition_set(src, rep_a, HashPartitioner(lambda r: r["a"], 16, key_name="a"))
         rep_b = create("rep_b")
         partition_set(src, rep_b, HashPartitioner(lambda r: r["b"], 16, key_name="b"))
+        return cluster, rep_a, rep_b
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_register_replica_skips_corrupt_images(self, seed):
+        _cluster, rep_a, rep_b = self.load_corrupting(seed)
         evicted = [
             (member, shard, page, CORRUPTION_SENTINEL in shard.file.peek_records(page.page_id))
             for member in (rep_a, rep_b)
@@ -401,3 +409,26 @@ class TestCorruptImagesAtRegistration:
         _member, shard, page, _corrupt = next(entry for entry in evicted if entry[3])
         with pytest.raises(PageCorruptionError):
             shard.pin_page(page)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ensure_r_safety_reads_corrupt_images_as_empty(self, seed):
+        cluster, rep_a, rep_b = self.load_corrupting(seed, num_nodes=5)
+        group = register_replica(rep_a, rep_b, object_id_fn=lambda r: r["id"])
+        assert any(
+            not shard.file.image_intact(page.page_id)
+            for shard in rep_a.shards.values()
+            for page in shard.pages
+            if page.on_disk and not page.records
+        ), "the seed must corrupt an evicted image of the first member"
+
+        ensure_r_safety(cluster, group, r=2)
+
+        intact_ids = {
+            record["id"]
+            for shard in rep_a.shards.values()
+            for page in shard.pages
+            if page.records or shard.file.image_intact(page.page_id)
+            for record in shard.stored_records(page)
+        }
+        spread = object_node_spread(group)
+        assert all(len(spread[oid]) >= 3 for oid in intact_ids)

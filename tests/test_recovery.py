@@ -7,7 +7,7 @@ from repro.services.sequential import SequentialWriter
 from repro.placement.partitioner import HashPartitioner, partition_set
 from repro.placement.recovery import recover_node
 from repro.placement.replication import register_replica
-from repro.sim.devices import MB
+from repro.sim.devices import KB, MB
 
 
 def build(num_nodes=4, rows=800):
@@ -194,3 +194,29 @@ class TestRecoveryEdgeCases:
             for op in ("flush", "close")
         ]
 
+
+    @pytest.mark.parametrize("failed_node", [1, 2])
+    def test_corrupt_image_on_failed_node_is_recovered_from_its_index(self, failed_node):
+        """A randomly dispatched member's lost ids come from page images; a
+        corrupt image on the failed node contributes its indexed ids, so
+        none of its objects is dropped."""
+        cluster = PangeaCluster(
+            num_nodes=4, profile=MachineProfile.tiny(pool_bytes=256 * KB)
+        )
+        src = cluster.create_set(
+            "src", durability="write-back", page_size=16 * KB, object_bytes=256
+        )
+        src.add_data([{"id": i, "a": i // 3} for i in range(1600)])
+        rep_a = cluster.create_set("rep_a", page_size=16 * KB, object_bytes=256)
+        partition_set(src, rep_a, HashPartitioner(lambda r: r["a"], 16, key_name="a"))
+        shard = src.shards[failed_node]
+        victim = shard.pages[0]
+        shard.evict_page(victim)
+        # Registration indexes the evicted image; then it is corrupted.
+        group = register_replica(src, rep_a, object_id_fn=lambda r: r["id"])
+        shard.file.corrupt_image(victim.page_id)
+
+        recover_node(cluster, group, failed_node=failed_node)
+
+        assert surviving_ids(src, failed_node) == set(range(1600))
+        assert surviving_ids(rep_a, failed_node) == set(range(1600))

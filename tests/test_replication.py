@@ -11,6 +11,8 @@ from repro.placement.replication import (
 )
 from repro.sim.devices import MB
 
+from .test_placement_golden import ROWS, load_source, make_cluster, replica
+
 
 @pytest.fixture
 def cluster():
@@ -106,3 +108,26 @@ class TestRegisterReplica:
         expected = expected_colliding_objects(2000, 4)
         # Hash placement is not perfectly independent; allow a wide band.
         assert 0.2 * expected <= group.num_colliding <= 3.0 * expected
+
+    def test_registration_reads_each_member_once(self):
+        """The golden three-member group: each registration calls the id
+        function once per member record, plus once per first-member record
+        for the colliding samples."""
+        calls = 0
+
+        def counting_id(record):
+            nonlocal calls
+            calls += 1
+            return record["id"]
+
+        cluster = make_cluster()
+        src = load_source(cluster)
+        rep_a = replica(cluster, src, "rep_a", "a")
+        rep_b = replica(cluster, src, "rep_b", "b")
+        group = register_replica(src, rep_a, object_id_fn=counting_id)
+        assert group.colliding_ids
+        assert calls == 3 * ROWS
+        calls = 0
+        register_replica(src, rep_b, object_id_fn=counting_id, group=group)
+        assert group.colliding_ids
+        assert calls == 4 * ROWS
