@@ -51,14 +51,6 @@ class SmallPage:
     def free_bytes(self) -> int:
         return self.budget - self.used
 
-    def append(self, record: object, nbytes: int) -> None:
-        if self.closed:
-            raise ValueError("small page already finished")
-        if nbytes > self.free_bytes:
-            raise ValueError(f"{nbytes} bytes do not fit this small page")
-        self.big.page.append(record, nbytes)
-        self.used += nbytes
-
     def extend(self, records: list, nbytes_each: int) -> None:
         """Bulk-append same-size records that are known to fit."""
         total = len(records) * nbytes_each
@@ -87,6 +79,7 @@ class SmallPageAllocator:
         self.shard = shard
         self.small_page_size = small_page_size
         self._big: _BigPage | None = None
+        self.closed = False
 
     def get_small_page(self) -> SmallPage:
         """Carve the next small page, rolling to a fresh big page if needed."""
@@ -103,6 +96,7 @@ class SmallPageAllocator:
 
     def close(self) -> None:
         """Finish the partition: retire the tail big page."""
+        self.closed = True
         if self._big is not None:
             self._big.exhausted = True
             self._big.maybe_unpin(self.shard)
@@ -113,9 +107,15 @@ class VirtualShuffleBuffer:
     """One (writer, partition) write handle.
 
     Holds a pointer to the partition's small page allocator plus the
-    writer's current offset in its small page — exactly the paper's
-    abstraction.  When the writer is remote from the partition's home node,
-    each filled small page charges one network transfer.
+    writer's current small page — exactly the paper's abstraction.  No one
+    else reads that small page until it is finished, so the buffer
+    write-combines: :meth:`add_object` stages same-size records in a
+    private run, and the run is *settled* into the small page, with one
+    ``records`` charge, when the page fills, the record size changes, or
+    the page is flushed.  A run of ``n`` records costs exactly the integer
+    ticks of ``n`` per-record charges.  When the writer is remote from the
+    partition's home node, each filled small page charges one network
+    transfer.
     """
 
     def __init__(
@@ -129,9 +129,25 @@ class VirtualShuffleBuffer:
         self.worker_node = worker_node
         self.worker_id = worker_id
         self.partition_id = partition_id
+        self._object_bytes = allocator.shard.dataset.object_bytes
+        self._cpu_node = worker_node or allocator.shard.node
         self._small: SmallPage | None = None
+        self._run: list = []
+        self._run_bytes = 0
+        # How many more records of ``_run_bytes`` fit the current small page.
+        self._room = 0
+
+    def _settle(self) -> None:
+        """Append the staged run to the small page and charge it once."""
+        run = self._run
+        if run:
+            self._small.extend(run, self._run_bytes)
+            self._cpu_node.cpu.records(len(run), self._run_bytes)
+            self._run = []
 
     def _flush_small_page(self) -> None:
+        self._settle()
+        self._room = 0
         if self._small is None:
             return
         home_node = self.allocator.shard.node
@@ -150,20 +166,30 @@ class VirtualShuffleBuffer:
         self._small.finish(self.allocator.shard)
         self._small = None
 
-    def add_object(self, record: object, nbytes: int | None = None) -> None:
-        nbytes = self.allocator.shard.dataset.object_bytes if nbytes is None else nbytes
+    def _start_run(self, nbytes: int) -> None:
+        """Settle the current run and make room for ``nbytes`` records,
+        rolling to a fresh small page if one no longer fits."""
+        if self.allocator.closed:
+            raise ValueError("shuffle partition already finished writing")
+        self._settle()
         if self._small is None or self._small.free_bytes < nbytes:
             self._flush_small_page()
             self._small = self.allocator.get_small_page()
-        self._small.append(record, nbytes)
-        (self.worker_node or self.allocator.shard.node).cpu.records(1, nbytes)
+            if self._small.free_bytes < nbytes:
+                raise ValueError(f"{nbytes} bytes do not fit this small page")
+        self._run_bytes = nbytes
+        # Zero-byte records always fit; max() only avoids dividing by zero.
+        self._room = self._small.free_bytes // max(nbytes, 1)
 
-    def _append_run(self, run: list, nbytes: int) -> None:
-        """Bulk-append records known to fit the current small page,
-        charged exactly like one :meth:`add_object` per record."""
-        if run:
-            self._small.extend(run, nbytes)
-            (self.worker_node or self.allocator.shard.node).cpu.records(len(run), nbytes)
+    def add_object(self, record: object, nbytes: int | None = None) -> None:
+        """Stage one record; ``ValueError`` if it is larger than a small
+        page or the shuffle has finished writing (nothing is staged)."""
+        if nbytes is None:
+            nbytes = self._object_bytes
+        if self._room <= 0 or nbytes != self._run_bytes:
+            self._start_run(nbytes)
+        self._run.append(record)
+        self._room -= 1
 
     def close(self) -> None:
         self._flush_small_page()
@@ -194,6 +220,7 @@ class ShuffleService:
         self.partition_sets: list[LocalitySet] = []
         self._allocators: list[SmallPageAllocator] = []
         self._buffers: dict[tuple[int, int], VirtualShuffleBuffer] = {}
+        self._finished = False
         for partition_id in range(num_partitions):
             home = partition_id % cluster.num_nodes
             dataset = cluster.create_set(
@@ -230,52 +257,23 @@ class ShuffleService:
         worker_node=None,
         nbytes: int | None = None,
     ) -> None:
-        """Bulk ``add_object``: one call for a batch of same-size records.
-
-        ``partitions[i]`` is the destination partition of ``records[i]``.
-        Data moves grouped: each destination's records are staged in a
-        pending run and bulk-extended into its small page at flush
-        boundaries.  Deferring the appends is invisible to the paging
-        layer because a partition's big page stays pinned (never a victim
-        candidate) until the allocator retires it.  A run is charged as
-        one ``records`` call, which costs exactly the integer ticks of its
-        per-record ``add_object`` charges, so every clock ends where the
-        per-record loop leaves it.
-        """
-        if nbytes is None:
-            nbytes = self.partition_sets[0].object_bytes
-        buffers: dict[int, VirtualShuffleBuffer] = {}
-        pending: dict[int, list] = {}
-        capacity: dict[int, int] = {}
+        """Bulk ``add_object``: ``partitions[i]`` is the destination
+        partition of ``records[i]``, all written by ``worker_id``.  Like
+        ``add_object``, it raises ``ValueError`` after :meth:`finish_writing`."""
+        adders: dict = {}
         for record, partition_id in zip(records, partitions):
-            buffer = buffers.get(partition_id)
-            if buffer is None:
-                buffer = self.buffer_for(
+            add = adders.get(partition_id)
+            if add is None:
+                add = adders[partition_id] = self.buffer_for(
                     worker_id, partition_id, worker_node=worker_node
-                )
-                buffers[partition_id] = buffer
-                pending[partition_id] = []
-                small = buffer._small
-                capacity[partition_id] = (
-                    0 if small is None else small.free_bytes // nbytes
-                )
-            if capacity[partition_id] <= 0:
-                buffer._append_run(pending[partition_id], nbytes)
-                pending[partition_id] = []
-                buffer._flush_small_page()
-                buffer._small = buffer.allocator.get_small_page()
-                capacity[partition_id] = buffer._small.free_bytes // nbytes
-                if capacity[partition_id] <= 0:
-                    # A record larger than a small page: fail exactly like
-                    # the per-record append would.
-                    buffer._small.append(record, nbytes)
-            pending[partition_id].append(record)
-            capacity[partition_id] -= 1
-        for partition_id, buffer in buffers.items():
-            buffer._append_run(pending[partition_id], nbytes)
+                ).add_object
+            add(record, nbytes)
 
     def finish_writing(self) -> None:
-        """Flush every writer and detach the write service."""
+        """Flush every writer and detach the write service (idempotent)."""
+        if self._finished:
+            return
+        self._finished = True
         for buffer in self._buffers.values():
             buffer.close()
         for allocator in self._allocators:

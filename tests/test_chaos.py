@@ -10,8 +10,9 @@ runs a repartition join plus aggregation through the query scheduler
 under the same kind of transient faults: its rows must equal a
 fault-free run's, and a replay must reproduce it bit for bit.  Further
 jobs recover a three-member group under the same faults, crash a node at
-the ``mid-write`` point while a replicated TPC-H table is partitioned, and
-make a group with one corrupted disk image safe against two failures.
+the ``mid-write`` point while a replicated TPC-H table is partitioned,
+make a group with one corrupted disk image safe against two failures, and
+shuffle through write-combining virtual buffers into a pool that spills.
 
 The seed comes from ``PANGEA_FAULT_SEED`` so CI can sweep a matrix of
 schedules; any failure is reproducible locally by exporting the seed.
@@ -31,6 +32,7 @@ from repro.placement.rsafety import ensure_r_safety, object_node_spread
 from repro.query.operators import ScanNode
 from repro.query.scheduler import QueryScheduler
 from repro.services.sequential import NodeFailedError
+from repro.services.shuffle import ShuffleService
 from repro.sim.devices import KB, MB
 from repro.sim.metrics import aggregate_robustness
 from repro.tpch import TpchGenerator
@@ -39,6 +41,7 @@ from repro.tpch.schema import ROW_BYTES
 SEED = int(os.environ.get("PANGEA_FAULT_SEED", "20260805"))
 ROWS = 600
 QUERY_ROWS = 4000
+SHUFFLE_ROWS = 1500
 RATE_FAULTS = FaultConfig(
     disk_read_error_rate=0.08,
     disk_write_error_rate=0.08,
@@ -312,6 +315,58 @@ def run_r_safety_chaos(seed):
     }
 
 
+def run_shuffle_chaos(seed):
+    """Shuffle four writers' records into four partitions under rate faults.
+
+    Two nodes each home two partitions and run two writers, so every
+    writer is remote from half its partitions; 600 KB of output spills a
+    256 KB pool.  Writers 0 and 1 use ``write_batch``, writers 2 and 3
+    ``add_object``.  Returns what was written and read back per partition,
+    the page layouts, disk bytes and clocks for the replay check.
+    """
+    cluster = PangeaCluster(
+        num_nodes=2, profile=MachineProfile.tiny(pool_bytes=256 * KB)
+    )
+    injector = FaultInjector(seed=seed, config=RATE_FAULTS).attach(cluster)
+    service = ShuffleService(
+        cluster, "shuffle", num_partitions=4, page_size=16 * KB,
+        small_page_size=4 * KB, object_bytes=100,
+    )
+    rng = random.Random(seed)
+    written = [Counter() for _ in range(4)]
+    for worker in range(4):
+        node = cluster.nodes[worker % 2]
+        records = [(worker, i) for i in range(SHUFFLE_ROWS)]
+        partitions = [rng.randrange(4) for _ in records]
+        for record, partition in zip(records, partitions):
+            written[partition][record] += 1
+        if worker < 2:
+            service.write_batch(worker, records, partitions, worker_node=node)
+        else:
+            for record, partition in zip(records, partitions):
+                service.buffer_for(worker, partition, worker_node=node).add_object(record)
+    service.finish_writing()
+    evictions = [node.pool.stats.evictions for node in cluster.nodes]
+    read = [Counter(service.partition_set(p).scan_records()) for p in range(4)]
+    layout = [
+        [
+            (node_id, page.page_id, page.on_disk, list(shard.stored_records(page)))
+            for node_id, shard in sorted(dataset.shards.items())
+            for page in shard.pages
+        ]
+        for dataset in service.partition_sets
+    ]
+    return {
+        "written": written,
+        "read": read,
+        "evictions": evictions,
+        "layout": layout,
+        "disk": [node.disks.total_bytes_written() for node in cluster.nodes],
+        "clocks": [node.clock.now.hex() for node in cluster.nodes],
+        "injected": injector.stats.as_dict(),
+    }
+
+
 class TestChaos:
     def test_chaos_job_survives_and_heals(self):
         stats, injected, _seconds = run_chaos(SEED)
@@ -377,3 +432,14 @@ class TestChaos:
 
     def test_r_safety_chaos_replay_is_bit_identical(self):
         assert run_r_safety_chaos(SEED) == run_r_safety_chaos(SEED)
+
+    def test_shuffle_under_faults_reads_back_what_was_written(self):
+        result = run_shuffle_chaos(SEED)
+        assert result["read"] == result["written"]
+        assert sum(sum(counts.values()) for counts in result["read"]) == 4 * SHUFFLE_ROWS
+        assert all(evictions > 0 for evictions in result["evictions"])
+        injected = result["injected"]
+        assert injected["net_drops"] + injected["disk_write_faults"] >= 1
+
+    def test_shuffle_chaos_replay_is_bit_identical(self):
+        assert run_shuffle_chaos(SEED) == run_shuffle_chaos(SEED)

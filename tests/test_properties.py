@@ -1,6 +1,8 @@
 """Cross-module property-based tests on core invariants."""
 
 import copy
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -243,46 +245,150 @@ def _odd_profile(pool_bytes: int = 64 * MB) -> MachineProfile:
     return profile
 
 
-def _shuffle_run(partitions, chunk_sizes, nbytes, with_node, batched):
-    cluster = PangeaCluster(num_nodes=2, profile=_odd_profile(4 * MB))
+def _per_record_add(buffer, record, nbytes=None) -> None:
+    """The per-record reference write: roll the small page when the record
+    does not fit, then one append and one ``records(1, nbytes)`` charge."""
+    nbytes = buffer.allocator.shard.dataset.object_bytes if nbytes is None else nbytes
+    if buffer._small is None or buffer._small.free_bytes < nbytes:
+        buffer._flush_small_page()
+        buffer._small = buffer.allocator.get_small_page()
+    buffer._small.extend([record], nbytes)
+    (buffer.worker_node or buffer.allocator.shard.node).cpu.records(1, nbytes)
+
+
+def _spilling_shuffle():
+    """Three partitions over two nodes; 8 KB big pages, 2 KB small pages,
+    and an 80 KB pool.  Node 0 homes two partitions, each of which can
+    hold four big pages pinned (three writers' stale small pages plus the
+    allocator's current page), so ten frames never run out of room, but
+    a few dozen KB of shuffle output spills."""
+    cluster = PangeaCluster(num_nodes=2, profile=_odd_profile(80 * KB))
     service = ShuffleService(
-        cluster, "shuf", num_partitions=3, page_size=64 * KB,
-        small_page_size=4 * KB, object_bytes=64,
+        cluster, "shuf", num_partitions=3, page_size=8 * KB,
+        small_page_size=2 * KB, object_bytes=64,
     )
-    node = cluster.nodes[1] if with_node else None
-    records = [{"i": i} for i in range(len(partitions))]
-    if batched:
-        for chunk in _chunks(list(zip(records, partitions)), chunk_sizes):
-            service.write_batch(
-                0, [r for r, _ in chunk], [p for _, p in chunk],
-                worker_node=node, nbytes=nbytes,
-            )
-    else:
-        for record, partition in zip(records, partitions):
-            service.buffer_for(0, partition, worker_node=node).add_object(record, nbytes)
-    ticks = _ticks(cluster)
-    service.finish_writing()
-    pages = [
-        [list(page.records) for shard in ds.shards.values() for page in shard.pages]
+    return cluster, service
+
+
+def _shuffle_outcome(cluster, service) -> dict:
+    return {
+        "ticks": _ticks(cluster),
+        "sent": [node.network.stats.bytes_sent for node in cluster.nodes],
+        "written": [node.disks.total_bytes_written() for node in cluster.nodes],
+        "evictions": [node.pool.stats.evictions for node in cluster.nodes],
+        # Each page's records as a multiset: writers sharing a big page
+        # settle their runs at different moments, so order within a page
+        # is not part of the contract.
+        "pages": [
+            [(page.page_id, page.on_disk, sorted(shard.stored_records(page)))
+             for shard in ds.shards.values() for page in shard.pages]
+            for ds in service.partition_sets
+        ],
+    }
+
+
+def _partition_records(service) -> list:
+    """Every partition's stored records, page by page in allocation order."""
+    return [
+        [record for shard in ds.shards.values() for page in shard.pages
+         for record in shard.stored_records(page)]
         for ds in service.partition_sets
     ]
-    sent = [n.network.stats.bytes_sent for n in cluster.nodes]
-    return ticks, _ticks(cluster), pages, sent
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=2), max_size=400),
-    st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=6),
-    st.sampled_from([8, 64, 100, 1000]),
-    st.booleans(),
+def _shuffle_run(writes, writer_nodes, staged):
+    """Replay ``writes`` — (writer, nbytes, partitions, through write_batch)
+    chunks — through the service (``staged``) or the per-record oracle.
+    Returns the outcome, each (writer, partition)'s records in write order,
+    and each partition's stored records."""
+    cluster, service = _spilling_shuffle()
+    written: dict = {}
+    seq = 0
+    for writer, nbytes, partitions, batched in writes:
+        home = writer_nodes[writer]
+        node = None if home is None else cluster.nodes[home]
+        records = [(writer, seq + i) for i in range(len(partitions))]
+        seq += len(partitions)
+        for record, partition in zip(records, partitions):
+            written.setdefault((writer, partition), []).append(record)
+        if staged and batched:
+            service.write_batch(writer, records, partitions, worker_node=node, nbytes=nbytes)
+            continue
+        for record, partition in zip(records, partitions):
+            buffer = service.buffer_for(writer, partition, worker_node=node)
+            if staged:
+                buffer.add_object(record, nbytes)
+            else:
+                _per_record_add(buffer, record, nbytes)
+    service.finish_writing()
+    return _shuffle_outcome(cluster, service), written, _partition_records(service)
+
+
+# (writer, nbytes, partitions, through write_batch) chunks.  A chunk cycles
+# a short partition pattern over up to 200 records, so typical examples
+# write enough to spill the pool.
+_SHUFFLE_WRITES = st.lists(
+    st.builds(
+        lambda writer, nbytes, count, pattern, batched: (
+            writer, nbytes, [pattern[i % len(pattern)] for i in range(count)], batched
+        ),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from([None, 0, 8, 100, 1000, 2 * KB]),
+        st.integers(min_value=1, max_value=200),
+        st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=8),
+        st.booleans(),
+    ),
+    max_size=12,
 )
-def test_write_batch_equals_per_record_add_object(partitions, chunk_sizes, nbytes, with_node):
-    """Any chunking of write_batch lands every clock on the per-record
-    loop's tick count and fills the same pages with the same records."""
-    batched = _shuffle_run(partitions, chunk_sizes, nbytes, with_node, batched=True)
-    per_record = _shuffle_run(partitions, chunk_sizes, nbytes, with_node, batched=False)
-    assert batched == per_record
+
+
+@settings(max_examples=50, deadline=None)
+@given(_SHUFFLE_WRITES, st.lists(st.sampled_from([None, 0, 1]), min_size=3, max_size=3))
+def test_staged_shuffle_writes_match_a_per_record_oracle(writes, writer_nodes):
+    """Interleaved writers sharing partitions, mixed record sizes (the
+    default included) and local/remote/absent worker nodes, on a pool that
+    spills: after ``finish_writing`` the write-combining buffers leave every
+    clock tick, network and disk byte, eviction and page's record multiset
+    where one append and one charge per record leave them, and each
+    (writer, partition)'s records read back in write order."""
+    staged, written, stored = _shuffle_run(writes, writer_nodes, staged=True)
+    oracle, _, oracle_stored = _shuffle_run(writes, writer_nodes, staged=False)
+    assert staged == oracle
+    for partition, records in enumerate(stored):
+        assert Counter(records) == Counter(oracle_stored[partition])
+        for writer in range(3):
+            assert [r for r in records if r[0] == writer] == written.get(
+                (writer, partition), []
+            )
+
+
+def test_shuffle_oracle_pool_spills():
+    """The property's pool really spills: a dense write evicts pages."""
+    writes = [(w, 1000, [i % 3 for i in range(60)], w == 1) for w in (0, 1, 2, 0, 1, 2)]
+    staged, _, _ = _shuffle_run(writes, [None, 0, 1], staged=True)
+    assert sum(staged["evictions"]) > 0
+    assert staged == _shuffle_run(writes, [None, 0, 1], staged=False)[0]
+
+
+def test_oversized_shuffle_record_raises_and_stages_nothing():
+    """A record larger than a small page raises where the per-record write
+    raises, and leaves nothing staged: the finished shuffle matches the
+    oracle's and holds only the records that fit."""
+    outcomes = []
+    for staged in (True, False):
+        cluster, service = _spilling_shuffle()
+        buffer = service.buffer_for(0, 1, worker_node=cluster.nodes[0])
+        add = buffer.add_object if staged else partial(_per_record_add, buffer)
+        for i in range(5):
+            add(("fits", i), 100)
+        with pytest.raises(ValueError):
+            add(("oversized",), 3 * KB)
+        for i in range(5, 8):
+            add(("fits", i), 100)
+        service.finish_writing()
+        outcomes.append((_shuffle_outcome(cluster, service), _partition_records(service)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1][1] == [("fits", i) for i in range(8)]
 
 
 def _writer_run(chunks, dests, page_size, nbytes, durability, crash_at, batched):

@@ -205,12 +205,6 @@ class TestJoinKernels:
 
 
 class TestShuffleWriteBatch:
-    def _write_legacy(self, service, records, partitions, node, nbytes):
-        for record, partition in zip(records, partitions):
-            service.buffer_for(0, partition, worker_node=node).add_object(
-                record, nbytes
-            )
-
     def _make(self):
         from repro.services.shuffle import ShuffleService
 
@@ -230,50 +224,6 @@ class TestShuffleWriteBatch:
             [list(p.records) for p in ds.shards[sorted(ds.shards)[0]].pages]
             for ds in service.partition_sets
         ]
-
-    def test_matches_per_record_loop(self):
-        records = [{"i": i} for i in range(700)]
-        partitions = [stable_hash(i) % 3 for i in range(700)]
-        legacy_cluster, legacy_service = self._make()
-        batch_cluster, batch_service = self._make()
-        # Start from a partially written small page on partition 0 so the
-        # batch path inherits mid-page state.
-        for service, cluster in (
-            (legacy_service, legacy_cluster),
-            (batch_service, batch_cluster),
-        ):
-            service.buffer_for(0, 0, worker_node=cluster.nodes[0]).add_object(
-                {"warm": True}, 64
-            )
-        self._write_legacy(
-            legacy_service, records, partitions, legacy_cluster.nodes[0], 64
-        )
-        batch_service.write_batch(
-            0, records, partitions, worker_node=batch_cluster.nodes[0], nbytes=64
-        )
-        assert [n.clock.now for n in batch_cluster.nodes] == [
-            n.clock.now for n in legacy_cluster.nodes
-        ]
-        assert [n.network.stats.bytes_sent for n in batch_cluster.nodes] == [
-            n.network.stats.bytes_sent for n in legacy_cluster.nodes
-        ]
-        legacy_service.finish_writing()
-        batch_service.finish_writing()
-        assert self._partition_payloads(batch_service) == self._partition_payloads(
-            legacy_service
-        )
-
-    def test_oversized_record_raises_like_append(self):
-        _cluster, legacy_service = self._make()
-        _cluster2, batch_service = self._make()
-        with pytest.raises(ValueError):
-            legacy_service.buffer_for(
-                0, 0, worker_node=_cluster.nodes[0]
-            ).add_object({"big": True}, 8 * KB)
-        with pytest.raises(ValueError):
-            batch_service.write_batch(
-                0, [{"big": True}], [0], worker_node=_cluster2.nodes[0], nbytes=8 * KB
-            )
 
     def test_no_worker_node_falls_back(self):
         _cluster, service = self._make()

@@ -145,3 +145,47 @@ class TestShuffleService:
     def test_zero_partitions_rejected(self, cluster):
         with pytest.raises(ValueError):
             ShuffleService(cluster, "bad", num_partitions=0)
+
+
+class TestWritesAfterFinish:
+    """A finished shuffle takes no more writes and finishes only once."""
+
+    def test_finish_writing_twice_detaches_once(self, cluster):
+        service = make_service(cluster, partitions=2)
+        service.buffer_for(0, 0).add_object("x")
+        service.finish_writing()
+        service.finish_writing()
+        for dataset in service.partition_sets:
+            assert dataset.active_writers == 0
+            assert dataset.attributes.current_operation is CurrentOperation.NONE
+        assert service.partition_set(0).num_objects == 1
+
+    def test_add_object_after_finish_raises_and_pins_nothing(self, cluster):
+        service = make_service(cluster, partitions=2)
+        held = service.buffer_for(0, 0)
+        held.add_object("x")
+        service.finish_writing()
+        pages = [ds.num_pages for ds in service.partition_sets]
+        ticks = [node.clock.ticks for node in cluster.nodes]
+        with pytest.raises(ValueError):
+            held.add_object("late")
+        with pytest.raises(ValueError):
+            service.buffer_for(1, 1).add_object("late")
+        assert [ds.num_pages for ds in service.partition_sets] == pages
+        assert [node.clock.ticks for node in cluster.nodes] == ticks
+        assert list(service.partition_set(0).scan_records()) == ["x"]
+        assert list(service.partition_set(1).scan_records()) == []
+        service.drop()  # would raise on a leaked pinned page
+
+    def test_write_batch_after_finish_raises_and_pins_nothing(self, cluster):
+        service = make_service(cluster, partitions=2)
+        service.write_batch(0, ["a", "b"], [0, 1], worker_node=cluster.nodes[1])
+        service.finish_writing()
+        ticks = [node.clock.ticks for node in cluster.nodes]
+        sent = [node.network.stats.bytes_sent for node in cluster.nodes]
+        with pytest.raises(ValueError):
+            service.write_batch(0, ["c", "d"], [0, 1], worker_node=cluster.nodes[1])
+        assert [node.clock.ticks for node in cluster.nodes] == ticks
+        assert [node.network.stats.bytes_sent for node in cluster.nodes] == sent
+        assert [list(ds.scan_records()) for ds in service.partition_sets] == [["a"], ["b"]]
+        service.drop()
