@@ -8,8 +8,6 @@ on growing inputs: the waves model's driver overhead grows with the
 number of blocks, while the worker pool's cost tracks only the data.
 """
 
-import time
-
 from conftest import record_report
 
 from repro import MachineProfile, PangeaCluster
@@ -68,73 +66,3 @@ def test_ext_threading_models(benchmark):
     small = table[SIZES_GB[0]]
     large = table[SIZES_GB[-1]]
     assert large["tasks"] > small["tasks"]
-
-
-def run_threaded_comparison(worker_counts=(1, 2, 4, 8)) -> dict:
-    """Simulated vs real-thread WorkerPool on one stage (ISSUE 1).
-
-    The simulated mode computes the paper's analytic timings; the
-    threaded mode runs the same stage on real OS threads through the
-    now-thread-safe storage path.  Results must match exactly; the wall
-    clock shows what the real concurrency costs/gains on this host.
-    """
-    rows = {}
-    for workers in worker_counts:
-        cluster = PangeaCluster(
-            num_nodes=2, profile=MachineProfile.r4_2xlarge(pool_bytes=32 * GB)
-        )
-        data = cluster.create_set(
-            "blocks", durability="write-back", page_size=4 * MB,
-            object_bytes=256 * 1024,
-        )
-        data.add_data(list(range(1024)))
-        page_fn = lambda page: sum(page.records)  # noqa: E731
-
-        wall = time.perf_counter()
-        simulated = WorkerPool(cluster, workers_per_node=workers).run_stage(
-            data, page_fn=page_fn, seconds_per_object=1e-5
-        )
-        sim_wall = time.perf_counter() - wall
-
-        wall = time.perf_counter()
-        threaded = WorkerPool(
-            cluster, workers_per_node=workers, threaded=True
-        ).run_stage(data, page_fn=page_fn, seconds_per_object=1e-5)
-        thr_wall = time.perf_counter() - wall
-
-        assert threaded.per_node == simulated.per_node
-        rows[workers] = {
-            "pages": threaded.pages_processed,
-            "sim_seconds": simulated.seconds,
-            "thr_seconds": threaded.seconds,
-            "sim_wall": sim_wall,
-            "thr_wall": thr_wall,
-            "os_threads": len(threaded.os_threads_used),
-        }
-    return rows
-
-
-def test_ext_threaded_worker_pool(benchmark):
-    table = benchmark.pedantic(run_threaded_comparison, rounds=1, iterations=1)
-    lines = [
-        f"{'workers':>8s} {'pages':>6s} {'sim(model)':>11s} {'thr(model)':>11s} "
-        f"{'sim wall':>9s} {'thr wall':>9s} {'threads':>8s}"
-    ]
-    for workers, row in sorted(table.items()):
-        lines.append(
-            f"{workers:8d} {row['pages']:6d} {row['sim_seconds']:10.3f}s "
-            f"{row['thr_seconds']:10.3f}s {row['sim_wall']:8.3f}s "
-            f"{row['thr_wall']:8.3f}s {row['os_threads']:8d}"
-        )
-    lines.append("")
-    lines.append("identical per-node results in both modes; the threaded mode")
-    lines.append("drives the same storage path through real OS threads")
-    record_report(
-        "Extension: simulated vs real-thread worker pool", lines
-    )
-    for row in table.values():
-        assert row["pages"] == 64
-        # The analytic cost model is mode-independent.
-        assert abs(row["sim_seconds"] - row["thr_seconds"]) < 1e-6 + 1e-6 * row[
-            "sim_seconds"
-        ]

@@ -2,11 +2,11 @@
 
 A computation process does not read files: its *data proxy* exchanges
 page metadata with the storage process over a socket, the metadata lands
-in a thread-safe circular buffer, and **long-living worker threads** pull
-pages from that buffer and access the data through shared memory.  This
-contrasts with the "waves of tasks" model of Spark/Hadoop, where a task
-is scheduled per block of data — and with it the all-or-nothing caching
-concern of PACMan, which Pangea's model sidesteps entirely.
+in a circular buffer, and **long-living workers** pull pages from that
+buffer and access the data through shared memory.  This contrasts with
+the "waves of tasks" model of Spark/Hadoop, where a task is scheduled
+per block of data — and with it the all-or-nothing caching concern of
+PACMan, which Pangea's model sidesteps entirely.
 """
 
 from repro.compute.circular import CircularBuffer

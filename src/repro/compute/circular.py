@@ -1,4 +1,4 @@
-"""The thread-safe circular buffer of pinned-page metadata (paper Fig. 2)."""
+"""The circular buffer of pinned-page metadata (paper Fig. 2)."""
 
 from __future__ import annotations
 
@@ -25,12 +25,9 @@ class CircularBuffer:
     (counted in :attr:`producer_stalls` — a sign the workers are the
     bottleneck); when empty, consumers stall (:attr:`consumer_stalls`).
 
-    All operations are thread-safe: a single mutex guards the ring and a
-    condition variable wakes blocked producers/consumers.  The historical
-    :meth:`put`/:meth:`get` pair stays non-blocking (the simulated mode's
-    cooperative fill/drain loop relies on that); real worker threads use
-    :meth:`put_wait`/:meth:`get_wait`, which block until space/data is
-    available or the ring is closed.
+    :meth:`put` and :meth:`get` never block: the data proxy's cooperative
+    fill/drain loop relies on that.  A single mutex keeps each operation
+    atomic, so threads may share one ring.
     """
 
     def __init__(self, capacity: int = 16) -> None:
@@ -45,7 +42,6 @@ class CircularBuffer:
         self.consumer_stalls = 0
         self._closed = False
         self._lock = threading.Lock()
-        self._state_changed = threading.Condition(self._lock)
 
     @property
     def count(self) -> int:
@@ -59,28 +55,6 @@ class CircularBuffer:
     def empty(self) -> bool:
         return self._count == 0
 
-    # ------------------------------------------------------------------
-    # lock-internal helpers (call with self._lock held)
-    # ------------------------------------------------------------------
-
-    def _put_locked(self, meta: PageMeta) -> None:
-        self._slots[self._tail] = meta
-        self._tail = (self._tail + 1) % self.capacity
-        self._count += 1
-        self._state_changed.notify_all()
-
-    def _get_locked(self) -> "PageMeta":
-        meta = self._slots[self._head]
-        self._slots[self._head] = None
-        self._head = (self._head + 1) % self.capacity
-        self._count -= 1
-        self._state_changed.notify_all()
-        return meta
-
-    # ------------------------------------------------------------------
-    # non-blocking API (simulated mode)
-    # ------------------------------------------------------------------
-
     def put(self, meta: PageMeta) -> bool:
         """Producer side; returns False (and counts a stall) when full."""
         with self._lock:
@@ -89,7 +63,9 @@ class CircularBuffer:
             if self._count == self.capacity:
                 self.producer_stalls += 1
                 return False
-            self._put_locked(meta)
+            self._slots[self._tail] = meta
+            self._tail = (self._tail + 1) % self.capacity
+            self._count += 1
             return True
 
     def get(self) -> "PageMeta | None":
@@ -99,51 +75,16 @@ class CircularBuffer:
                 if not self._closed:
                     self.consumer_stalls += 1
                 return None
-            return self._get_locked()
-
-    # ------------------------------------------------------------------
-    # blocking API (threaded mode)
-    # ------------------------------------------------------------------
-
-    def put_wait(self, meta: PageMeta, timeout: float | None = None) -> bool:
-        """Block until there is room, then enqueue; ``False`` on timeout.
-
-        Raises :class:`ValueError` if the buffer is closed while waiting —
-        a closed ring can never make room for a producer again.
-        """
-        with self._lock:
-            while True:
-                if self._closed:
-                    raise ValueError("cannot put into a closed buffer")
-                if self._count < self.capacity:
-                    self._put_locked(meta)
-                    return True
-                self.producer_stalls += 1
-                if not self._state_changed.wait(timeout):
-                    return False
-
-    def get_wait(self, timeout: float | None = None) -> "PageMeta | None":
-        """Block until an entry arrives; ``None`` once closed and drained.
-
-        A ``None`` return after a timeout is indistinguishable from
-        NoMorePage only if the caller ignores :attr:`drained`; check it
-        when using finite timeouts.
-        """
-        with self._lock:
-            while True:
-                if self._count > 0:
-                    return self._get_locked()
-                if self._closed:
-                    return None
-                self.consumer_stalls += 1
-                if not self._state_changed.wait(timeout):
-                    return None
+            meta = self._slots[self._head]
+            self._slots[self._head] = None
+            self._head = (self._head + 1) % self.capacity
+            self._count -= 1
+            return meta
 
     def close(self) -> None:
         """Producer signals NoMorePage (paper Fig. 2)."""
         with self._lock:
             self._closed = True
-            self._state_changed.notify_all()
 
     @property
     def closed(self) -> bool:

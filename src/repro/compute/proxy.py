@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 import typing
 
 from repro.compute.circular import CircularBuffer, PageMeta
@@ -20,12 +19,9 @@ class DataProxy:
     proxy drives the GetSetPages flow: the storage process pins pages and
     streams their metadata into a circular buffer while workers drain it.
 
-    Thread-safe: several worker threads may call :meth:`next_page` and
-    :meth:`release_page` on one proxy concurrently (the threaded
-    :class:`~repro.compute.workers.WorkerPool` does exactly that).  The
-    proxy's own reentrant lock makes fill+get atomic, so a ``None`` from
-    :meth:`next_page` always means the set is drained, never that another
-    thread raced the refill.  Lock order: proxy → storage (pool) lock.
+    One proxy serves one node's workers from one caller; it takes no lock
+    of its own.  Pinning and unpinning go through the shard, which takes
+    the node's storage lock.
     """
 
     def __init__(self, shard: "LocalShard", buffer_capacity: int = 16) -> None:
@@ -34,7 +30,6 @@ class DataProxy:
         self._pinned: dict[int, Page] = {}
         self._pending: "list[Page]" = []
         self._started = False
-        self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # the GetSetPages flow
@@ -42,12 +37,11 @@ class DataProxy:
 
     def request_set_pages(self) -> None:
         """Send GetSetPages; the storage process starts pinning."""
-        with self._lock:
-            if self._started:
-                raise RuntimeError("GetSetPages already sent for this proxy")
-            self._started = True
-            self.shard.node.network.message(1)
-            self._pending = list(self.shard.pages)
+        if self._started:
+            raise RuntimeError("GetSetPages already sent for this proxy")
+        self._started = True
+        self.shard.node.network.message(1)
+        self._pending = list(self.shard.pages)
 
     def _storage_fill(self) -> None:
         """Storage-side: pin pages and push their metadata until the ring
@@ -71,32 +65,28 @@ class DataProxy:
 
     def next_page(self) -> "Page | None":
         """Worker-side: pull the next pinned page (None when drained)."""
-        with self._lock:
-            if not self._started:
-                self.request_set_pages()
-            self._storage_fill()
-            meta = self.buffer.get()
-            if meta is None:
-                return None
-            return self._pinned[meta.page_id]
+        if not self._started:
+            self.request_set_pages()
+        self._storage_fill()
+        meta = self.buffer.get()
+        if meta is None:
+            return None
+        return self._pinned[meta.page_id]
 
     def release_page(self, page: "Page") -> None:
         """Worker finished with a page: unpin it in the storage process."""
-        with self._lock:
-            pinned = self._pinned.pop(page.page_id, None)
-            if pinned is None:
-                raise ValueError(
-                    f"page {page.page_id} was not served by this proxy"
-                )
-            self.shard.unpin_page(page)
+        pinned = self._pinned.pop(page.page_id, None)
+        if pinned is None:
+            raise ValueError(
+                f"page {page.page_id} was not served by this proxy"
+            )
+        self.shard.unpin_page(page)
 
     def close(self) -> None:
         """Release anything still pinned (worker crash / early exit)."""
-        with self._lock:
-            for page in list(self._pinned.values()):
-                self.release_page(page)
+        for page in list(self._pinned.values()):
+            self.release_page(page)
 
     @property
     def drained(self) -> bool:
-        with self._lock:
-            return self._started and self.buffer.drained and not self._pinned
+        return self._started and self.buffer.drained and not self._pinned

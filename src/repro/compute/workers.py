@@ -5,12 +5,10 @@ node which live until all input pages are processed, each pulling pages
 from the data proxy's circular buffer in a loop.  There is no per-block
 scheduling and no "all-or-nothing" cache-locality concern.
 
-With ``threaded=True`` the workers are real OS threads — one
-:class:`threading.Thread` per worker per node, all pulling from the same
-thread-safe :class:`~repro.compute.proxy.DataProxy`.  The simulated-cost
-accounting is unchanged (the node clocks are thread-safe), so the two
-modes produce identical per-node results; the threaded mode additionally
-exercises the storage path's locking for real.
+The workers are modelled, not spawned: each node's pages are served in
+order through one :class:`~repro.compute.proxy.DataProxy`, and the
+per-object compute time is divided across the node's workers as if they
+ran concurrently on its cores.
 
 :class:`WavesOfTasks` is the Spark/Hadoop model the paper contrasts: one
 task per data block, scheduled by a driver wave by wave, paying a fixed
@@ -19,7 +17,6 @@ scheduling cost per task.
 
 from __future__ import annotations
 
-import threading
 import typing
 from dataclasses import dataclass, field
 
@@ -39,9 +36,6 @@ class StageResult:
     pages_processed: int = 0
     seconds: float = 0.0
     tasks_scheduled: int = 0
-    #: Distinct OS thread idents that processed at least one page
-    #: (threaded mode only; empty in simulated mode).
-    os_threads_used: set = field(default_factory=set)
 
     def all_results(self) -> list:
         merged: list = []
@@ -51,16 +45,17 @@ class StageResult:
 
 
 class WorkerPool:
-    """Pangea's threading model: long-living workers pulling pages."""
+    """Pangea's worker model: long-living workers pulling pages."""
 
     def __init__(self, cluster: "PangeaCluster", workers_per_node: int = 8,
-                 buffer_capacity: int = 16, threaded: bool = False) -> None:
+                 buffer_capacity: int = 16) -> None:
         if workers_per_node < 1:
             raise ValueError("need at least one worker per node")
+        if buffer_capacity < 1:
+            raise ValueError("circular buffer capacity must be positive")
         self.cluster = cluster
         self.workers_per_node = workers_per_node
         self.buffer_capacity = buffer_capacity
-        self.threaded = threaded
 
     def run_stage(
         self,
@@ -72,17 +67,15 @@ class WorkerPool:
 
         Workers on each node share one proxy; per-object compute time is
         divided across the workers (they run concurrently on the cores).
-        In threaded mode the workers really are concurrent OS threads;
-        outputs are re-ordered to the shard's page order afterwards so
-        both modes return identical results.
+        Outputs are in the shard's page order.  If ``page_fn`` raises, the
+        proxy releases every page it still holds pinned before the error
+        propagates.
 
         Dead shards fail over the same way a scan does (see
         :func:`~repro.services.sequential.resolve_readable_source`): the
         stage reads the healed survivors or a fully-live replica member
         instead of the crashed node's orphaned pages.
         """
-        if self.threaded:
-            return self._run_stage_threaded(dataset, page_fn, seconds_per_object)
         start = self.cluster.barrier()
         result = StageResult()
         source, node_ids = resolve_readable_source(dataset)
@@ -113,85 +106,6 @@ class WorkerPool:
         result.seconds = self.cluster.barrier() - start
         return result
 
-    # ------------------------------------------------------------------
-    # threaded mode
-    # ------------------------------------------------------------------
-
-    def _run_stage_threaded(
-        self,
-        dataset: "LocalitySet",
-        page_fn: "typing.Callable[[object], object]",
-        seconds_per_object: float,
-    ) -> StageResult:
-        start = self.cluster.barrier()
-        result = StageResult()
-        result_lock = threading.Lock()
-        errors: list[BaseException] = []
-        threads: list[threading.Thread] = []
-        proxies: list[DataProxy] = []
-        stop = threading.Event()
-
-        def drain(node, proxy, order, outputs):
-            try:
-                while not stop.is_set():
-                    page = proxy.next_page()
-                    if page is None:
-                        return
-                    try:
-                        out = page_fn(page)
-                        node.cpu.per_object(
-                            page.num_objects, workers=self.workers_per_node
-                        )
-                        if seconds_per_object:
-                            node.cpu.parallel(
-                                page.num_objects * seconds_per_object,
-                                self.workers_per_node,
-                            )
-                    finally:
-                        # Unpin even when page_fn crashes, so a worker
-                        # failure cannot wedge the pool for its siblings.
-                        proxy.release_page(page)
-                    with result_lock:
-                        outputs.append((order[page.page_id], out))
-                        result.pages_processed += 1
-                        result.os_threads_used.add(threading.get_ident())
-            except BaseException as exc:  # propagate to the caller after join
-                stop.set()
-                with result_lock:
-                    errors.append(exc)
-
-        per_node_outputs: dict[int, list] = {}
-        source, node_ids = resolve_readable_source(dataset)
-        for node_id in node_ids:
-            shard = source.shards[node_id]
-            node = shard.node
-            proxy = DataProxy(shard, buffer_capacity=self.buffer_capacity)
-            proxies.append(proxy)
-            order = {page.page_id: i for i, page in enumerate(shard.pages)}
-            outputs: list = []
-            per_node_outputs[node_id] = outputs
-            for _ in range(self.workers_per_node):
-                threads.append(
-                    threading.Thread(
-                        target=drain,
-                        args=(node, proxy, order, outputs),
-                        name=f"pangea-worker-n{node_id}",
-                        daemon=True,
-                    )
-                )
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for proxy in proxies:
-            proxy.close()
-        if errors:
-            raise errors[0]
-        for node_id, outputs in per_node_outputs.items():
-            result.per_node[node_id] = [out for _, out in sorted(outputs)]
-        result.seconds = self.cluster.barrier() - start
-        return result
-
 
 class WavesOfTasks:
     """The layered engines' model: one scheduled task per page.
@@ -208,6 +122,10 @@ class WavesOfTasks:
         cores_per_node: int = 8,
         task_overhead: float = 2e-3,
     ) -> None:
+        if cores_per_node < 1:
+            raise ValueError("need at least one core per node")
+        if task_overhead < 0:
+            raise ValueError("task overhead cannot be negative")
         self.cluster = cluster
         self.cores_per_node = cores_per_node
         self.task_overhead = task_overhead

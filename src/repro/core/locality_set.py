@@ -42,9 +42,9 @@ class LocalShard:
 
     Page-state transitions (place, pin, unpin, evict, drop) run under the
     node's storage lock (:attr:`BufferPool.lock <repro.buffer.pool.BufferPool.lock>`),
-    so concurrent workers of a threaded
-    :class:`~repro.compute.workers.WorkerPool` cannot observe a page
-    half-placed or race a pin against an eviction.  The lock is reentrant:
+    so threads sharing a node (the query engine's per-node stage threads,
+    or workers driving several page iterators over one shard) cannot
+    observe a page half-placed or race a pin against an eviction.  The lock is reentrant:
     ``pin_page`` → ``pool.place`` → evictor → ``evict_page`` →
     ``pool.release`` all happen on one thread's acquisition.
     """
@@ -480,14 +480,6 @@ class LocalitySet:
         shard = LocalShard(self, node)
         self.shards[node.node_id] = shard
         return shard
-
-    def shard_on(self, node_id: int) -> LocalShard:
-        try:
-            return self.shards[node_id]
-        except KeyError:
-            raise KeyError(
-                f"set {self.name!r} has no shard on node {node_id}"
-            ) from None
 
     def next_dispatch_shard(self) -> LocalShard:
         """Round-robin dispatch target for randomly dispatched sets."""

@@ -50,17 +50,11 @@ class PartitionComp:
         self.num_partitions = num_partitions
         self.key_name = key_name
 
-    def key_of(self, record: object) -> object:
-        return self.key_fn(record)
-
     def partition_of(self, record: object) -> int:
         return stable_hash(self.key_fn(record)) % self.num_partitions
 
     def partition_of_key(self, key: object) -> int:
         return stable_hash(key) % self.num_partitions
-
-    def node_of(self, record: object, num_nodes: int) -> int:
-        return self.partition_of(record) % num_nodes
 
     def scheme(self) -> PartitionScheme:
         return PartitionScheme(

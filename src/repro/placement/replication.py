@@ -60,12 +60,6 @@ class ReplicationGroup:
     recovered_nodes: set = field(default_factory=set)
     group_id: int | None = None
 
-    def member_named(self, name: str) -> "LocalitySet":
-        for member in self.members:
-            if member.name == name:
-                return member
-        raise KeyError(f"no replica named {name!r} in this group")
-
     @property
     def num_colliding(self) -> int:
         return len(self.colliding_ids)

@@ -461,10 +461,6 @@ class VirtualHashBuffer:
             total += sum(len(p.records) for p in root.spilled_pages)
         return total
 
-    @property
-    def num_spilled_pages(self) -> int:
-        return self.stats.spills
-
     def release(self) -> None:
         """Unpin every live page so the set can be evicted or dropped."""
         for root in self.roots:

@@ -47,10 +47,11 @@ class SimClock:
     which models the bulk-synchronous execution used by the paper's
     distributed benchmarks.
 
-    Thread-safe: the threaded :class:`~repro.compute.workers.WorkerPool`
-    runs several OS threads per node, all charging the same clock, so the
-    read-modify-write in :meth:`advance_ticks` is guarded by a leaf lock
-    (held for the increment only, never while calling out).
+    Thread-safe: several threads driving
+    :class:`~repro.services.sequential.PageIterator` objects over one
+    node's shards all charge that node's clock, so the read-modify-write
+    in :meth:`advance_ticks` is guarded by a leaf lock (held for the
+    increment only, never while calling out).
     """
 
     def __init__(self, now: float = 0.0) -> None:

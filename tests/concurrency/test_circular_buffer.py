@@ -17,57 +17,6 @@ def meta(i: int) -> PageMeta:
     return PageMeta(page_id=i, offset=i * 64, size=64, num_objects=1)
 
 
-@pytest.mark.parametrize("seed", stress_seeds())
-def test_blocking_producer_consumers_deliver_exactly_once(seed):
-    ring = CircularBuffer(capacity=4)
-    total = 200
-    consumed: list[int] = []
-    consumed_lock = threading.Lock()
-
-    def producer():
-        rng = random.Random(seed)
-        ids = list(range(total))
-        rng.shuffle(ids)
-        for i in ids:
-            assert ring.put_wait(meta(i), timeout=30)
-        ring.close()
-
-    def consumer():
-        while True:
-            item = ring.get_wait(timeout=30)
-            if item is None:
-                assert ring.drained
-                return
-            with consumed_lock:
-                consumed.append(item.page_id)
-
-    run_threads([producer, consumer, consumer, consumer, consumer])
-    assert sorted(consumed) == list(range(total))
-
-
-def test_put_wait_raises_when_closed_mid_wait():
-    ring = CircularBuffer(capacity=1)
-    assert ring.put_wait(meta(0), timeout=5)
-    failure: list[BaseException] = []
-
-    def blocked_producer():
-        try:
-            ring.put_wait(meta(1), timeout=30)
-        except ValueError as exc:
-            failure.append(exc)
-
-    thread = threading.Thread(target=blocked_producer, daemon=True)
-    thread.start()
-    # Let the producer block on the full ring, then close it under him.
-    import time
-
-    time.sleep(0.05)
-    ring.close()
-    thread.join(10)
-    assert not thread.is_alive()
-    assert failure and "closed" in str(failure[0])
-
-
 @pytest.mark.parametrize("seed", stress_seeds([5, 77]))
 def test_nonblocking_api_stays_consistent_under_threads(seed):
     """Hammer the historical put/get pair from threads; every accepted

@@ -147,6 +147,36 @@ class TestWorkerPool:
         with pytest.raises(ValueError):
             WorkerPool(cluster, workers_per_node=0)
 
+    def test_page_fn_error_propagates_and_unpins(self, loaded_cluster):
+        cluster, data = loaded_cluster
+
+        def explode(page):
+            raise RuntimeError("worker crashed")
+
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            WorkerPool(cluster, workers_per_node=4).run_stage(data, explode)
+        for shard in data.shards.values():
+            assert not any(page.pinned for page in shard.pages)
+
+    def test_stage_under_paging_pressure(self):
+        """The pool is smaller than the set: the proxy's pins force
+        evictions and reloads mid-stage."""
+        cluster = PangeaCluster(
+            num_nodes=1, profile=MachineProfile.tiny(pool_bytes=3 * MB)
+        )
+        data = cluster.create_set("big", durability="write-back",
+                                  page_size=256 * 1024, object_bytes=16 * 1024)
+        data.add_data(list(range(24 * 16)))
+        result = WorkerPool(
+            cluster, workers_per_node=4, buffer_capacity=4
+        ).run_stage(data, page_fn=lambda p: sum(p.records))
+        node = cluster.nodes[0]
+        node.pool.check_invariants()
+        assert node.pool.stats.pageins > 0
+        assert result.pages_processed == data.num_pages
+        assert sum(result.all_results()) == sum(range(24 * 16))
+        assert not any(page.pinned for page in data.shards[0].pages)
+
 
 class TestWavesVsWorkers:
     def test_same_answers(self, loaded_cluster):
@@ -169,3 +199,28 @@ class TestWavesVsWorkers:
         )
         assert waves.tasks_scheduled == data.num_pages
         assert waves.seconds > workers.seconds
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [
+        pytest.param(lambda c: WorkerPool(c, buffer_capacity=0),
+                     id="buffer_capacity=0"),
+        pytest.param(lambda c: WavesOfTasks(c, cores_per_node=0),
+                     id="cores_per_node=0"),
+        pytest.param(lambda c: WavesOfTasks(c, task_overhead=-1.0),
+                     id="task_overhead=-1"),
+    ],
+)
+def test_invalid_arguments_rejected_before_any_clock_moves(make_model):
+    """Bad arguments raise in the constructor, not mid-stage after the
+    opening barrier has already synchronized the node clocks."""
+    cluster = PangeaCluster(
+        num_nodes=2, profile=MachineProfile.tiny(pool_bytes=8 * MB)
+    )
+    cluster.nodes[0].clock.advance(1.0003)
+    cluster.nodes[1].clock.advance(0.0003)
+    before = [node.clock.now for node in cluster.nodes]
+    with pytest.raises(ValueError):
+        make_model(cluster)
+    assert [node.clock.now for node in cluster.nodes] == before

@@ -125,12 +125,11 @@ class TestScanFailover:
         cluster.enable_self_healing()
         expected = sum(r["id"] for r in rep_a.scan_records())
         cluster.nodes[1].fail()
-        for threaded in (False, True):
-            result = WorkerPool(
-                cluster, workers_per_node=4, threaded=threaded
-            ).run_stage(rep_a, page_fn=lambda p: sum(r["id"] for r in p.records))
-            assert sum(sum(v) for v in result.per_node.values()) == expected
-            assert 1 not in result.per_node
+        result = WorkerPool(cluster, workers_per_node=4).run_stage(
+            rep_a, page_fn=lambda p: sum(r["id"] for r in p.records)
+        )
+        assert sum(sum(v) for v in result.per_node.values()) == expected
+        assert 1 not in result.per_node
         waves = WavesOfTasks(cluster).run_stage(
             rep_a, page_fn=lambda p: sum(r["id"] for r in p.records)
         )
