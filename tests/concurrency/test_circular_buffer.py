@@ -3,6 +3,7 @@ the sequential read service's shared cursor."""
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -15,6 +16,80 @@ from .harness import run_threads, stress_seeds
 
 def meta(i: int) -> PageMeta:
     return PageMeta(page_id=i, offset=i * 64, size=64, num_objects=1)
+
+
+def put_retrying(ring: CircularBuffer, item: PageMeta, timeout: float = 30) -> None:
+    """Block a producer by retrying the non-blocking ``put`` until the ring
+    accepts ``item``; a closed ring raises ``ValueError`` from ``put``."""
+    deadline = time.monotonic() + timeout
+    while not ring.put(item):
+        assert time.monotonic() < deadline, "producer waited too long"
+        time.sleep(0)
+
+
+def get_retrying(ring: CircularBuffer, timeout: float = 30) -> "PageMeta | None":
+    """Block a consumer by retrying ``get``; ``None`` once the ring is
+    closed and drained."""
+    deadline = time.monotonic() + timeout
+    while True:
+        item = ring.get()
+        if item is not None or ring.drained:
+            return item
+        assert time.monotonic() < deadline, "consumer waited too long"
+        time.sleep(0)
+
+
+@pytest.mark.parametrize("seed", stress_seeds())
+def test_blocking_producer_consumers_deliver_exactly_once(seed):
+    ring = CircularBuffer(capacity=4)
+    total = 200
+    consumed: list[int] = []
+    consumed_lock = threading.Lock()
+
+    def producer():
+        rng = random.Random(seed)
+        ids = list(range(total))
+        rng.shuffle(ids)
+        for i in ids:
+            put_retrying(ring, meta(i))
+        ring.close()
+
+    def consumer():
+        while True:
+            item = get_retrying(ring)
+            if item is None:
+                assert ring.drained
+                return
+            with consumed_lock:
+                consumed.append(item.page_id)
+
+    run_threads([producer, consumer, consumer, consumer, consumer])
+    assert sorted(consumed) == list(range(total))
+    assert ring.drained and ring.empty
+
+
+def test_waiting_producer_raises_when_closed_mid_wait():
+    ring = CircularBuffer(capacity=1)
+    assert ring.put(meta(0))
+    failure: list[BaseException] = []
+
+    def blocked_producer():
+        try:
+            put_retrying(ring, meta(1))
+        except ValueError as exc:
+            failure.append(exc)
+
+    thread = threading.Thread(target=blocked_producer, daemon=True)
+    thread.start()
+    # Let the producer wait on the full ring, then close it under them.
+    time.sleep(0.05)
+    ring.close()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert failure and "closed" in str(failure[0])
+    # The waiting put never landed: only the first page is in the ring.
+    assert ring.get().page_id == 0
+    assert ring.drained
 
 
 @pytest.mark.parametrize("seed", stress_seeds([5, 77]))

@@ -177,6 +177,31 @@ class TestWorkerPool:
         assert sum(result.all_results()) == sum(range(24 * 16))
         assert not any(page.pinned for page in data.shards[0].pages)
 
+    def test_kmeans_assignment_stage(self):
+        """A k-means assignment pass (the paper's Fig. 3 workload) gives
+        each node exactly the assignments of the pages it stores."""
+        cluster = PangeaCluster(
+            num_nodes=2, profile=MachineProfile.tiny(pool_bytes=8 * MB)
+        )
+        data = cluster.create_set("points", durability="write-back",
+                                  page_size=1 * MB, object_bytes=64 * 1024)
+        data.add_data([(float(i % 17), float(i % 5)) for i in range(256)])
+        centers = [(0.0, 0.0), (8.0, 2.0), (16.0, 4.0)]
+
+        def assign(page):
+            return [
+                min(range(len(centers)),
+                    key=lambda c: (x - centers[c][0]) ** 2 + (y - centers[c][1]) ** 2)
+                for x, y in page.records
+            ]
+
+        result = WorkerPool(cluster, workers_per_node=4).run_stage(data, assign)
+        assert result.pages_processed == data.num_pages
+        for node_id, shard in data.shards.items():
+            expected = sorted(assign(page) for page in shard.pages)
+            assert sorted(result.per_node[node_id]) == expected
+        assert sum(len(a) for a in result.all_results()) == 256
+
 
 class TestWavesVsWorkers:
     def test_same_answers(self, loaded_cluster):
