@@ -1,5 +1,7 @@
 """Tests for k-means on Pangea."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,37 @@ class TestTimingShape:
         _cluster, result, _points = run_kmeans(1_000_000_000, nodes=10)
         logical = 1_000_000_000 * (120 + 128)
         assert result.peak_pool_bytes >= logical * 0.9
+
+
+class TestPagingGolden:
+    """A small k-means whose working set is 2.5x the pool, pinned as data.
+
+    Each node holds 200 points of 248 logical MB (points plus norms)
+    against a 20 GB pool, so every iteration pages in and evicts.  The
+    centroids' bytes, every node's clock and the paging counters must not
+    move when the storage path changes; a deliberate change to simulated
+    time re-records these values.
+    """
+
+    CENTROIDS_SHA1 = "b581bbf76e9b8b3333b892a4ae18e4a8065d7f5d"
+    CLOCK_TICKS = [290172605830515, 290172605830515]
+    PAGEINS = [90, 90]
+    EVICTIONS = [211, 211]
+    EVICTION_ROUNDS = [112, 112]
+
+    def test_run_matches_golden(self):
+        cluster = PangeaCluster(
+            num_nodes=2,
+            profile=MachineProfile.r4_2xlarge(pool_bytes=20 * GB),
+            policy="data-aware",
+        )
+        km = PangeaKMeans(cluster, k=5, dims=10, workers=8)
+        points = generate_points(400, num_clusters=5, seed=3)
+        data = km.load_points(points, represent=1_000_000)
+        result = km.run(data, represent=1_000_000, iterations=3)
+        nodes = cluster.nodes
+        assert hashlib.sha1(result.centroids.tobytes()).hexdigest() == self.CENTROIDS_SHA1
+        assert [n.clock.ticks for n in nodes] == self.CLOCK_TICKS
+        assert [n.pool.stats.pageins for n in nodes] == self.PAGEINS
+        assert [n.pool.stats.evictions for n in nodes] == self.EVICTIONS
+        assert [n.paging.stats.eviction_rounds for n in nodes] == self.EVICTION_ROUNDS
