@@ -60,12 +60,13 @@ class LocalShard:
         #: maintained by the page lifecycle below so the paging policies
         #: never have to re-sort the page list (see repro.core.recency).
         self.recency = RecencyIndex()
-        #: Cached data-aware cost terms for the shard's current next
+        #: Cached data-aware cost terms of the shard's last scored
         #: victim: ``(key, (cw, vr, wr))``.  Owned by
         #: :class:`~repro.core.policies.DataAwarePolicy`; the key encodes
-        #: everything the terms depend on (victim identity, dirty/on-disk
-        #: bits, durability, liveness, reading pattern) so a stale cache
-        #: entry is impossible by construction.
+        #: everything the terms depend on (page size, dirty/on-disk bits,
+        #: durability, liveness, reading pattern, re-read penalty) so a
+        #: stale entry is impossible by construction, and a later victim
+        #: that matches on all of them reuses it.
         self.cost_terms: "tuple | None" = None
 
     # ------------------------------------------------------------------
@@ -139,14 +140,16 @@ class LocalShard:
 
     def touch(self, page: Page) -> None:
         """Record a page access for the recency model."""
-        page.last_access_tick = self.paging.tick()
+        paging = self.node.paging
+        page.last_access_tick = paging.tick()
         self.attributes.access_recency = page.last_access_tick
         self.recency.touch(page)
-        self.paging.note_access(page)
+        paging.note_access(page)
 
     def pin_page(self, page: Page) -> Page:
         """Pin a page, reloading it from disk if it was evicted."""
-        with self.pool.lock:
+        pool = self.node.pool
+        with pool.lock:
             self.metrics.pins += 1
             if not page.in_memory:
                 if not page.on_disk:
@@ -159,12 +162,12 @@ class LocalShard:
                     records, _cost = self.file.read_page(page.page_id)
                 except PageCorruptionError:
                     records = self._read_repair(page)
-                self.pool.place(page)
+                pool.place(page)
                 self.recency.insert(page)
                 page.records = records
                 page.dirty = False
-                self.pool.stats.pageins += 1
-                self.pool.stats.bytes_paged_in += page.size
+                pool.stats.pageins += 1
+                pool.stats.bytes_paged_in += page.size
                 self.metrics.misses += 1
                 self.metrics.bytes_paged_in += page.size
                 # Re-reading spilled random-access data pays a reconstruction
@@ -181,7 +184,7 @@ class LocalShard:
                                 self.node.clock.now - start,
                                 set=self.dataset.name, page_id=page.page_id,
                                 nbytes=page.size)
-            self.pool.pin(page)
+            pool.pin(page)
             self.touch(page)
             return page
 

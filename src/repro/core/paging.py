@@ -21,9 +21,7 @@ class PagingStats:
 
     eviction_rounds: int = 0
     pages_evicted: int = 0
-    #: Full rebuilds of the data-aware policy's candidate min-heap (the
-    #: indexed path rebuilds on tick advance / candidate-set change and
-    #: otherwise refreshes one entry per round).
+    #: Data-aware scoring rounds: each scores every candidate set once.
     index_rebuilds: int = 0
     #: Cost-term cache hits/misses across all candidate evaluations
     #: (node-level sums of the per-set counters in SetMetrics).
@@ -72,7 +70,7 @@ class PagingSystem:
     ) -> None:
         if isinstance(policy, str):
             policy = make_policy(policy)
-        self.policy = policy
+        self.policy = policy  # also caches its on_access hook
         self._ticks = TickCounter()
         self._shards: list[LocalShard] = []
         #: Registered shards keyed by set name, replacing the linear
@@ -135,10 +133,19 @@ class PagingSystem:
         """Advance the access-sequence counter (one buffer-pool access)."""
         return self._ticks.next()
 
+    @property
+    def policy(self) -> PagingPolicy:
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: PagingPolicy) -> None:
+        self._policy = policy
+        self._on_access = getattr(policy, "on_access", None)
+
     def note_access(self, page) -> None:
         """Forward a page access to policies that track history (LRU-K,
         GreedyDual); the default policies only need last_access_tick."""
-        on_access = getattr(self.policy, "on_access", None)
+        on_access = self._on_access
         if on_access is not None:
             with self._lock:
                 on_access(page, self._ticks.now)

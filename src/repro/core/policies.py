@@ -13,9 +13,9 @@ DBMIN whose desired sizes are capped at memory so it does not block.
 Victim selection reads the per-shard
 :class:`~repro.core.recency.RecencyIndex` maintained incrementally by the
 page lifecycle, so MRU/LRU victims pop in O(1) and the data-aware policy
-evaluates one cached cost estimate per candidate *set* instead of sorting
-candidate *pages* — amortized O(log n) per round (O(S) candidate sets,
-O(k log S) for global k-page batches).
+scores one cost estimate per candidate *set* (its next victim, with
+cached disk-model terms) instead of sorting candidate *pages* — O(S) per
+round for S candidate sets, O(k log S) for global k-page batches.
 
 Ties cannot occur within a node: every access draws a fresh tick, so
 ``last_access_tick`` values are unique and the index order is exactly the
@@ -168,15 +168,15 @@ def _cost_cache_key(shard: "LocalShard", page: Page) -> tuple:
     """Everything ``(cw, vr, wr)`` depends on, as a comparable key.
 
     Used by :class:`DataAwarePolicy` to validate cached terms: a change to
-    the victim identity, its dirty/on-disk bits, the set's durability,
-    liveness, or reading pattern produces a different key, so stale terms
-    are structurally impossible (the paging tick is deliberately absent —
-    only the ``preuse`` factor depends on it, and that is recomputed every
-    round).
+    the victim's size or dirty/on-disk bits, or to the set's durability,
+    liveness, reading pattern or re-read penalty, produces a different
+    key, so stale terms are structurally impossible.  The victim's
+    identity is deliberately absent, so two clean same-size victims of a
+    set share one entry, and so is the paging tick: only the ``preuse``
+    factor depends on it, and that is recomputed every round.
     """
     attrs = shard.attributes
     return (
-        page.page_id,
         page.size,
         page.dirty,
         page.on_disk,
@@ -220,24 +220,17 @@ class PagingPolicy:
 class DataAwarePolicy(PagingPolicy):
     """The paper's policy: dynamic priorities over locality sets.
 
-    Victim selection reads the per-shard recency indexes and keeps a
-    lazily-rebuilt min-heap of per-set cost estimates:
+    Every round scores each candidate set's next victim by
+    ``cw + preuse * cr`` at the current paging tick and takes the
+    cheapest.  The tick-independent terms ``(cw, vr, wr)`` are cached on
+    ``shard.cost_terms`` keyed by :func:`_cost_cache_key`, so a set whose
+    next victim looks like the last one (same size, dirty/on-disk bits
+    and set attributes) costs a tuple comparison instead of two disk-model
+    evaluations; only ``preuse`` is recomputed.
 
-    * the tick-independent terms ``(cw, vr, wr)`` of each candidate set's
-      next victim are cached on ``shard.cost_terms`` keyed by
-      :func:`_cost_cache_key`, so unchanged sets cost a tuple comparison
-      instead of two disk-model evaluations per round;
-    * the heap of ``(total, candidate_index)`` entries is rebuilt only
-      when the paging tick advances or the candidate-set signature
-      changes.  Successive rounds at the *same* tick (the buffer pool's
-      placement retry loop) refresh only the previously-chosen set's
-      entry via lazy deletion — every other set's estimate is provably
-      unchanged because nothing else was touched, evicted, or re-pinned
-      between rounds (the pool lock is held throughout).
-
-    Tie-breaking: the heap orders by ``(total, candidate_index)``, so of
-    several sets with the same expected cost the first in registration
-    order is the victim.
+    Tie-breaking: a strict ``<`` over the candidates in registration
+    order, so of several sets with the same expected cost the first
+    registered is the victim.
     """
 
     name = "data-aware"
@@ -248,13 +241,6 @@ class DataAwarePolicy(PagingPolicy):
         #: ``(set_name, tick, CostBreakdown)``.  Read by the paging system
         #: (under its lock) to feed traces and the per-set registry.
         self.last_decision: "tuple[str, int, CostBreakdown] | None" = None
-        # Lazy-heap state.
-        self._heap: "list[tuple[float, int]]" = []
-        self._heap_tick = -1
-        self._heap_sig: tuple = ()
-        self._totals: "dict[int, float]" = {}
-        self._meta: "dict[int, tuple[LocalShard, CostBreakdown]]" = {}
-        self._last_idx: "int | None" = None
 
     def select_victims(
         self, shards: "list[LocalShard]", needed_bytes: int
@@ -267,50 +253,19 @@ class DataAwarePolicy(PagingPolicy):
             candidates = dead
         paging = candidates[0].paging
         now = paging.current_tick
-        sig = tuple(map(id, candidates))
-        if now != self._heap_tick or sig != self._heap_sig:
-            self._rebuild_heap(candidates, now, paging)
-        elif self._last_idx is not None:
-            # Same tick, same candidates: only the set chosen last round
-            # changed (its victims were evicted / flushed).  Re-score it
-            # and lazily invalidate its stale heap entry.
-            idx = self._last_idx
-            self._totals.pop(idx, None)
-            self._meta.pop(idx, None)
-            self._score(candidates[idx], idx, now, paging, push=True)
-        heap = self._heap
-        totals = self._totals
-        while heap and totals.get(heap[0][1]) != heap[0][0]:
-            heapq.heappop(heap)  # lazily-deleted (refreshed) entry
-        if not heap:  # pragma: no cover - candidates guarantee an entry
-            return []
-        idx = heap[0][1]
-        shard, breakdown = self._meta[idx]
-        self._last_idx = idx
+        paging.stats.index_rebuilds += 1
+        best = None
+        for shard in candidates:
+            breakdown = self._score(shard, now, paging)
+            if best is None or breakdown.total < best[1].total:
+                best = (shard, breakdown)
+        shard, breakdown = best
         self.last_decision = (shard.dataset.name, now, breakdown)
         return victim_batch(shard)
 
-    def _rebuild_heap(
-        self, candidates: "list[LocalShard]", now: int, paging
-    ) -> None:
-        self._heap = []
-        self._totals = {}
-        self._meta = {}
-        self._heap_tick = now
-        self._heap_sig = tuple(map(id, candidates))
-        self._last_idx = None
-        for idx, shard in enumerate(candidates):
-            self._score(shard, idx, now, paging, push=False)
-        heapq.heapify(self._heap)
-        paging.stats.index_rebuilds += 1
-
-    def _score(
-        self, shard: "LocalShard", idx: int, now: int, paging, push: bool
-    ) -> None:
-        """Estimate one candidate set's eviction cost into the heap."""
+    def _score(self, shard: "LocalShard", now: int, paging) -> CostBreakdown:
+        """One candidate set's expected eviction cost at tick ``now``."""
         victim = next_victim(shard)
-        if victim is None:  # pragma: no cover - evictable_count() > 0
-            return
         key = _cost_cache_key(shard, victim)
         cached = shard.cost_terms
         if cached is not None and cached[0] == key:
@@ -323,16 +278,9 @@ class DataAwarePolicy(PagingPolicy):
             shard.metrics.cost_cache_misses += 1
             paging.stats.cost_cache_misses += 1
         age = now - victim.last_access_tick
-        breakdown = CostBreakdown(
+        return CostBreakdown(
             cw=cw, vr=vr, wr=wr, preuse=_preuse(age, self.horizon), age=max(0, age)
         )
-        total = breakdown.total
-        self._totals[idx] = total
-        self._meta[idx] = (shard, breakdown)
-        if push:
-            heapq.heappush(self._heap, (total, idx))
-        else:
-            self._heap.append((total, idx))
 
 
 class GlobalLruPolicy(PagingPolicy):

@@ -187,6 +187,8 @@ class PangeaKMeans:
             self.cluster.nodes[0].network.transfer(centroid_bytes * (num_nodes - 1))
         self.cluster.barrier()
         centroid_norms = np.sum(centroids * centroids, axis=1)
+        two_c = 2.0 * centroids
+        nbytes = self.dims * 8 + 16
 
         # Per-node local aggregation through the hash service.
         agg_name = f"{norms_set.name}_agg"
@@ -198,7 +200,7 @@ class PangeaKMeans:
                 durability="write-back",
                 page_size=4 * MB,
                 nodes=[node_id],
-                object_bytes=self.dims * 8 + 16,
+                object_bytes=nbytes,
             )
             buffer = VirtualHashBuffer(
                 temp,
@@ -211,15 +213,14 @@ class PangeaKMeans:
                     shard.node.cpu.compute(
                         logical * ASSIGN_SECONDS_PER_POINT, workers=self.workers
                     )
+                    # One hash call per page, in point order.
+                    keys = []
+                    values = []
                     for point, norm in page.records:
                         # ||p - c||^2 = ||p||^2 - 2 p.c + ||c||^2 (norms trick)
-                        scores = norm - 2.0 * centroids @ point + centroid_norms
-                        best = int(np.argmin(scores))
-                        buffer.insert(
-                            best,
-                            (np.array(point) * represent, represent),
-                            nbytes=self.dims * 8 + 16,
-                        )
+                        keys.append(int((norm - two_c @ point + centroid_norms).argmin()))
+                        values.append((point * represent, represent))
+                    buffer.insert_many(keys, values, nbytes=nbytes)
             partials.append(dict(buffer.items()))
             buffer.release()
             temp.end_lifetime()

@@ -255,11 +255,18 @@ class VirtualHashBuffer:
         The combine fast path touches only the in-page dict; a new key
         takes the per-record slot code (slab reserve, split, spill).  A
         pair costs a whole number of ticks, as in :meth:`insert`, so the
-        pairs are counted per root and charged in one go at the end, which
-        leaves every node clock exactly where inserting one pair at a time
-        does.  Without an explicit uniform ``nbytes`` each pair is sized on
-        its own, one :meth:`insert` at a time.
+        pairs are counted per root, and each root that received any is
+        charged by one clock advance at the end, which leaves every node
+        clock exactly where inserting one pair at a time does.  Without an
+        explicit uniform ``nbytes`` each pair is sized on its own, one
+        :meth:`insert` at a time.  Columns of different lengths raise
+        :class:`ValueError` before anything is stored.
         """
+        if len(keys) != len(values):
+            raise ValueError(
+                f"insert_many needs aligned columns, got {len(keys)} keys "
+                f"and {len(values)} values"
+            )
         if nbytes is None:
             for key, value in zip(keys, values):
                 self._put(key, value, None, combine=True)
@@ -298,9 +305,13 @@ class VirtualHashBuffer:
                 fresh[index] += 1
         self.stats.combines += combines
         for root, count, new in zip(roots, puts, fresh):
-            cpu = root.shard.node.cpu
-            cpu.records(new, entry_bytes, factor=1.5)
-            cpu.per_object(count - new, factor=1.5)
+            if count:
+                cpu = root.shard.node.cpu
+                if cpu.clock is not None:
+                    cpu.clock.advance_ticks(
+                        new * cpu.record_ticks(entry_bytes, 1, 1.5)
+                        + (count - new) * cpu.record_ticks(0, 1, 1.5)
+                    )
 
     def _put(self, key: object, value: object, nbytes: int | None, combine: bool) -> None:
         if self._finalized:

@@ -117,27 +117,29 @@ class DiskArray:
         and the cost model must price (a heterogeneous array's slowest
         disk bounds the whole transfer).
         """
-        share = nbytes // self.num_disks
-        remainder = nbytes - share * (self.num_disks - 1)
-        return [remainder if i == 0 else share for i in range(self.num_disks)]
+        num_disks = len(self.disks)
+        share = nbytes // num_disks
+        remainder = nbytes - share * (num_disks - 1)
+        return [remainder] + [share] * (num_disks - 1)
+
+    def _chunk_seconds(self, chunks: list[int], num_ios: int, write: bool) -> float:
+        """The slowest disk's time for its chunk of one striped transfer."""
+        ios = max(1, num_ios // len(self.disks))
+        return max(
+            ios * disk.io_latency
+            + chunk / (disk.write_bandwidth if write else disk.read_bandwidth)
+            for disk, chunk in zip(self.disks, chunks)
+        )
 
     def estimate_read_seconds(self, nbytes: int, num_ios: int = 1) -> float:
         """The seconds :meth:`read` would charge — no stats, clock, or
         faults.  Used by the paging cost model (``cr``)."""
-        ios = max(1, num_ios // self.num_disks)
-        return max(
-            ios * disk.io_latency + chunk / disk.read_bandwidth
-            for disk, chunk in zip(self.disks, self.striped_chunks(nbytes))
-        )
+        return self._chunk_seconds(self.striped_chunks(nbytes), num_ios, False)
 
     def estimate_write_seconds(self, nbytes: int, num_ios: int = 1) -> float:
         """The seconds :meth:`write` would charge — no stats, clock, or
         faults.  Used by the paging cost model (``cw``)."""
-        ios = max(1, num_ios // self.num_disks)
-        return max(
-            ios * disk.io_latency + chunk / disk.write_bandwidth
-            for disk, chunk in zip(self.disks, self.striped_chunks(nbytes))
-        )
+        return self._chunk_seconds(self.striped_chunks(nbytes), num_ios, True)
 
     def read(self, nbytes: int, num_ios: int = 1) -> float:
         """Striped read: each disk serves an equal share in parallel."""
@@ -175,16 +177,16 @@ class DiskArray:
         extra = 0.0
         if self.fault_hook is not None:
             extra = self.fault_hook(point, nbytes)
-        ios = max(1, num_ios // self.num_disks)
-        for disk, chunk in zip(self.disks, self.striped_chunks(nbytes)):
+        ios = max(1, num_ios // len(self.disks))
+        chunks = self.striped_chunks(nbytes)
+        for disk, chunk in zip(self.disks, chunks):
             if write:
                 disk.stats.bytes_written += chunk
                 disk.stats.num_writes += ios
             else:
                 disk.stats.bytes_read += chunk
                 disk.stats.num_reads += ios
-        estimate = self.estimate_write_seconds if write else self.estimate_read_seconds
-        cost = estimate(nbytes, num_ios) + extra
+        cost = self._chunk_seconds(chunks, num_ios, write) + extra
         tracer = self.tracer
         if tracer is not None:
             tracer.span(span, "disk", tracer.now, cost,

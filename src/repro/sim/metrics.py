@@ -46,8 +46,8 @@ class NodeMetrics:
     #: Victim-selection counters from PagingSystem.stats.
     eviction_rounds: int = 0
     pages_evicted: int = 0
-    #: Victim-index maintenance counters (see PagingStats): candidate-heap
-    #: rebuilds and cost-term cache activity of the data-aware policy.
+    #: Victim-index counters (see PagingStats): scoring rounds and
+    #: cost-term cache activity of the data-aware policy.
     index_rebuilds: int = 0
     cost_cache_hits: int = 0
     cost_cache_misses: int = 0

@@ -80,6 +80,19 @@ class TestBasicOperations:
         with pytest.raises(ValueError):
             VirtualHashBuffer(data, num_root_partitions=0)
 
+    @pytest.mark.parametrize("nbytes", [8, None])
+    def test_insert_many_rejects_misaligned_columns(self, nbytes):
+        cluster = make_cluster()
+        buffer = make_buffer(cluster)
+        clock = cluster.nodes[0].clock.ticks
+        with pytest.raises(ValueError, match="3 keys and 1 values"):
+            buffer.insert_many([1, 2, 3], ["a"], nbytes=nbytes)
+        # Nothing was charged, counted or stored, not even the first pair.
+        assert cluster.nodes[0].clock.ticks == clock
+        assert buffer.stats.inserts == buffer.stats.combines == 0
+        assert len(buffer) == 0
+        assert buffer.find(1) is None
+
 
 class TestGrowthAndSpill:
     def test_partition_split_on_full_page(self):

@@ -39,9 +39,11 @@ from pathlib import Path
 import pytest
 
 from repro import MachineProfile, PangeaCluster
+from repro.buffer.page import Page
 from repro.core.attributes import CurrentOperation, ReadingPattern, WritingPattern
 from repro.core.policies import (
     READ_BATCH_FRACTION,
+    DataAwarePolicy,
     DbminBlockedError,
     _cost_cache_key,
     make_policy,
@@ -465,6 +467,37 @@ class TestCostTermCache:
         shard.attributes.end_lifetime()
         assert _cost_cache_key(shard, page) != mid
 
+    def test_same_size_clean_victims_share_a_key(self):
+        cluster = self.pressured()
+        data = cluster.create_set("s", durability="write-through", page_size=PAGE)
+        shard = data.shards[0]
+        for _ in range(3):
+            page = shard.new_page()
+            page.append("x", 16)
+            shard.seal_page(page)
+            shard.unpin_page(page)
+        first = next_victim(shard)
+        assert not first.dirty and first.on_disk
+        policy = DataAwarePolicy()
+        stats = cluster.nodes[0].paging.stats
+        policy.select_victims([shard], PAGE)
+        misses = stats.cost_cache_misses
+        hits = stats.cost_cache_hits
+        # Pinning the victim moves the set's next victim to another clean
+        # page of the same size: the cached terms still apply.
+        shard.pin_page(first)
+        second = next_victim(shard)
+        assert second is not first
+        assert not second.dirty and second.on_disk
+        assert _cost_cache_key(shard, second) == _cost_cache_key(shard, first)
+        policy.select_victims([shard], PAGE)
+        assert stats.cost_cache_hits == hits + 1
+        assert stats.cost_cache_misses == misses
+        # A page of another size prices differently, so its key misses.
+        other = Page(second.page_id, 2 * PAGE, shard=shard)
+        other.dirty, other.on_disk = second.dirty, second.on_disk
+        assert _cost_cache_key(shard, other) != shard.cost_terms[0]
+
     def test_cache_hits_recorded_under_pressure(self):
         cluster = self.pressured()
         data = cluster.create_set("a", durability="write-back", page_size=PAGE)
@@ -477,8 +510,8 @@ class TestCostTermCache:
         stats = cluster.nodes[0].paging.stats
         assert stats.index_rebuilds > 0
         assert stats.cost_cache_misses > 0
-        # Candidate sets whose next victim did not change between rounds
-        # reuse their cached terms.
+        # Candidate sets whose next victim matches the last scored one in
+        # size, dirty/on-disk bits and set attributes reuse its terms.
         assert stats.cost_cache_hits > 0
         total = stats.cost_cache_hits + stats.cost_cache_misses
         per_set = cluster.nodes[0].paging.set_metrics()
