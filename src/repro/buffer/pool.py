@@ -99,7 +99,7 @@ class BufferPool:
     Thread-safe: :attr:`lock` is the node's storage lock, a reentrant lock
     guarding the allocator, the resident-page table, pin counts, and the
     stats counters.  It is reentrant because eviction re-enters the pool:
-    ``place`` → evictor → ``LocalShard.evict_page`` → ``release``.  Lock
+    ``place`` → evictor → ``LocalShard.evict_pages`` → ``release``.  Lock
     ordering is documented in ``docs/api.md`` ("Concurrency model"): the
     pool lock is acquired before the paging-system lock, never after.
     """

@@ -45,7 +45,7 @@ class LocalShard:
     so threads sharing a node (the query engine's per-node stage threads,
     or workers driving several page iterators over one shard) cannot
     observe a page half-placed or race a pin against an eviction.  The lock is reentrant:
-    ``pin_page`` → ``pool.place`` → evictor → ``evict_page`` →
+    ``pin_page`` → ``pool.place`` → evictor → ``evict_pages`` →
     ``pool.release`` all happen on one thread's acquisition.
     """
 
@@ -170,14 +170,8 @@ class LocalShard:
                 pool.stats.bytes_paged_in += page.size
                 self.metrics.misses += 1
                 self.metrics.bytes_paged_in += page.size
-                # Re-reading spilled random-access data pays a reconstruction
-                # penalty (the paper's wr > 1): rebuild costs CPU time.
                 if self.attributes.reading_pattern is ReadingPattern.RANDOM_READ:
-                    extra = self.attributes.random_reread_penalty - 1.0
-                    if extra > 0:
-                        self.node.cpu.compute(
-                            extra * page.size / self.node.disks.disks[0].read_bandwidth
-                        )
+                    self.charge_reread_penalty(page)
                 tracer = self.node.tracer
                 if tracer is not None:
                     tracer.span("shard.pagein", "paging", start,
@@ -187,6 +181,15 @@ class LocalShard:
             pool.pin(page)
             self.touch(page)
             return page
+
+    def charge_reread_penalty(self, page: Page) -> None:
+        """Charge the CPU time of rebuilding a re-read page of spilled
+        random-access data: the paper's reconstruction penalty ``wr > 1``."""
+        extra = self.attributes.random_reread_penalty - 1.0
+        if extra > 0:
+            self.node.cpu.compute(
+                extra * page.size / self.node.disks.disks[0].read_bandwidth
+            )
 
     def unpin_page(self, page: Page) -> None:
         self.pool.unpin(page)
@@ -285,67 +288,23 @@ class LocalShard:
         return repaired
 
     def evict_page(self, page: Page) -> EvictResult:
-        """Evict one unpinned page; reports the bytes freed and whether the
-        page image was actually written out.
-
-        Dirty pages of live write-back sets are flushed to the set's file
-        first (the paper's ``cw`` term becomes real I/O here); pages of
-        dead sets or already-persisted pages are simply dropped.  The
-        ``flushed`` flag in the result is the ground truth the eviction
-        trace records — a dirty page whose image was already persisted is
-        *not* reported as flushed.
-        """
-        with self.pool.lock:
-            if page.pinned:
-                raise ValueError(f"cannot evict pinned page {page.page_id}")
-            if not page.in_memory:
-                raise ValueError(f"page {page.page_id} is not in memory")
-            start = self.node.clock.now
-            must_flush = (
-                page.dirty
-                and self.attributes.alive
-                and not page.on_disk
-            )
-            if must_flush:
-                self.file.write_page(page.page_id, page.records, page.size)
-                page.on_disk = True
-                page.dirty = False
-                self.pool.stats.pageouts += 1
-                self.pool.stats.bytes_paged_out += page.size
-                self.metrics.flushed_pages += 1
-                self.metrics.flushed_bytes += page.size
-                self.paging.note_page_image(page)
-            freed = page.size
-            self.pool.release(page)
-            self.recency.remove(page)
-            page.records = []
-            self.pool.stats.evictions += 1
-            self.metrics.evictions += 1
-            tracer = self.node.tracer
-            if tracer is not None:
-                tracer.span("shard.evict", "paging", start,
-                            self.node.clock.now - start,
-                            set=self.dataset.name, page_id=page.page_id,
-                            flushed=must_flush, nbytes=freed)
-            return EvictResult(freed=freed, flushed=must_flush)
+        """Evict one unpinned page: :meth:`evict_pages` of one page."""
+        return self.evict_pages([page])[0]
 
     def evict_pages(self, pages: "list[Page]") -> "list[EvictResult]":
-        """Evict several pages of this shard in one round, coalescing the
-        write-back of every dirty page into a single sequential flush.
+        """Evict unpinned pages of this shard in one round; reports, per
+        page, the bytes freed and whether its image was actually written out.
 
-        The legacy path flushed victims one :meth:`SetFile.write_page` at a
-        time — N seeks for an N-page batch even though the batch is one
-        contiguous spill of one locality set.  Here all pages that need
-        flushing go through :meth:`SetFile.write_many
+        Dirty pages of live write-back sets are flushed to the set's file
+        first (the paper's ``cw`` term becomes real I/O here), all of them
+        through one :meth:`SetFile.write_many
         <repro.fs.page_file.SetFile.write_many>`, which charges one striped
         :class:`~repro.sim.devices.DiskArray` transfer (one seek) for the
-        whole image group.  Per-page state transitions, metrics, and the
-        returned :class:`EvictResult` ground truth are identical to calling
-        :meth:`evict_page` per page; only the simulated seek count (and the
-        tracer's span shape) changes.
+        whole image group.  Pages of dead sets or already-persisted pages
+        are simply dropped.  The ``flushed`` flag in each result is the
+        ground truth the eviction trace records — a dirty page whose image
+        was already persisted is *not* reported as flushed.
         """
-        if len(pages) == 1:
-            return [self.evict_page(pages[0])]
         with self.pool.lock:
             for page in pages:
                 if page.pinned:
@@ -353,15 +312,10 @@ class LocalShard:
                 if not page.in_memory:
                     raise ValueError(f"page {page.page_id} is not in memory")
             alive = self.attributes.alive
-            flush = [p for p in pages if p.dirty and alive and not p.on_disk]
+            flushed = [p.dirty and alive and not p.on_disk for p in pages]
+            flush = [p for p, must_flush in zip(pages, flushed) if must_flush]
             start = self.node.clock.now
-            if len(flush) > 1:
-                self.file.write_many(
-                    [(p.page_id, p.records, p.size) for p in flush]
-                )
-            elif flush:
-                self.file.write_page(flush[0].page_id, flush[0].records, flush[0].size)
-            flushed_ids = set()
+            self.file.write_many([(p.page_id, p.records, p.size) for p in flush])
             for page in flush:
                 page.on_disk = True
                 page.dirty = False
@@ -370,16 +324,14 @@ class LocalShard:
                 self.metrics.flushed_pages += 1
                 self.metrics.flushed_bytes += page.size
                 self.paging.note_page_image(page)
-                flushed_ids.add(page.page_id)
-            flush_seconds = self.node.clock.now - start
             tracer = self.node.tracer
             if tracer is not None and flush:
-                tracer.span("shard.flush_batch", "paging", start, flush_seconds,
+                tracer.span("shard.flush_batch", "paging", start,
+                            self.node.clock.now - start,
                             set=self.dataset.name, pages=len(flush),
                             nbytes=sum(p.size for p in flush))
             results: "list[EvictResult]" = []
-            for page in pages:
-                must_flush = page.page_id in flushed_ids
+            for page, must_flush in zip(pages, flushed):
                 freed = page.size
                 self.pool.release(page)
                 self.recency.remove(page)

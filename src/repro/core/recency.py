@@ -8,7 +8,7 @@ every ``make_room`` round:
 * :meth:`insert` when a page becomes resident (``new_page`` or a page-in
   reload inside ``pin_page``);
 * :meth:`touch` on every access (``LocalShard.touch`` → ``move_to_end``);
-* :meth:`remove` when a page leaves memory (``evict_page``/``drop_page``);
+* :meth:`remove` when a page leaves memory (``evict_pages``/``drop_page``);
 * :meth:`note_pin`/:meth:`note_unpin` on pin-count 0↔1 transitions
   (hooked in :meth:`BufferPool.pin <repro.buffer.pool.BufferPool.pin>`).
 

@@ -249,36 +249,27 @@ class SetFile:
                     self.corrupt_image(page_id)
 
     def write_page(self, page_id: int, records: list, nbytes: int) -> float:
-        """Persist one page image; returns the simulated seconds charged.
-
-        The image's checksum is computed before the write and stored in the
-        meta file, so corruption of the stored image (injected or modeled)
-        is detected end-to-end on the next read.  A payload that cannot be
-        checksummed raises before the meta file or any extent is touched.
-        """
-        self._store_image(page_id, records, nbytes, page_checksum(records))
-        cost = self._with_retries(lambda: self.disks.write(nbytes, num_ios=1))
-        self._draw_corruptions([page_id])
-        return cost
+        """Persist one page image: :meth:`write_many` of one entry."""
+        return self.write_many([(page_id, records, nbytes)])
 
     def write_many(self, entries: "list[tuple[int, list, int]]") -> float:
-        """Persist several page images with one coalesced disk transfer.
+        """Persist page images with one disk transfer; returns the simulated
+        seconds charged.
 
         ``entries`` is a list of ``(page_id, records, nbytes)`` triples.
-        Checksums, extent allocation, and meta-file bookkeeping are
-        identical to calling :meth:`write_page` per page; only the disk
-        charge differs — one striped sequential write covering every
-        image (one seek) via :meth:`DiskArray.write_many
-        <repro.sim.devices.DiskArray.write_many>` instead of one
-        operation per page.  Every image is checksummed before any is
-        stored, so an unpicklable payload leaves the file untouched.  Used
-        by the batched victim-flush path.
+        Each image's checksum is computed before the write and stored in
+        the meta file, so corruption of the stored image (injected or
+        modeled) is detected end-to-end on the next read.  Every image is
+        checksummed before any is stored, so a payload that cannot be
+        checksummed raises before the meta file or any extent is touched.
+        The images go out as one striped sequential write (one seek) via
+        :meth:`DiskArray.write_many <repro.sim.devices.DiskArray.write_many>`;
+        for one image that charges exactly what :meth:`DiskArray.write
+        <repro.sim.devices.DiskArray.write>` would.  An empty batch charges
+        nothing.
         """
         if not entries:
             return 0.0
-        if len(entries) == 1:
-            page_id, records, nbytes = entries[0]
-            return self.write_page(page_id, records, nbytes)
         checksums = [page_checksum(records) for _page_id, records, _nbytes in entries]
         for (page_id, records, nbytes), checksum in zip(entries, checksums):
             self._store_image(page_id, records, nbytes, checksum)

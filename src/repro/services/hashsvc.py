@@ -8,10 +8,14 @@ partitions; when a page fills, a child partition is split off onto a new
 page (extendible-hashing style).  When no new page can be obtained, a full
 page is sealed, unpinned, and spilled as a partial-aggregation result;
 :meth:`VirtualHashBuffer.finalize` re-aggregates the spilled partials.
+
+Every write — ``insert``, ``set``, ``insert_many`` and ``finalize``'s
+re-insertion — goes through one loop, ``VirtualHashBuffer._write``.
 """
 
 from __future__ import annotations
 
+import itertools
 import typing
 from dataclasses import dataclass
 
@@ -192,7 +196,9 @@ class VirtualHashBuffer:
     ``combiner`` merges a new value into an existing one (hash aggregation);
     the default keeps the newest value, matching the paper's
     ``insert``/``set`` example.  Use :meth:`finalize` (or iterate
-    :meth:`items`) to fold spilled partial results back in.
+    :meth:`items`) to fold spilled partial results back in.  After
+    :meth:`finalize`, :meth:`items` or :meth:`release` the buffer takes
+    no more writes.
     """
 
     def __init__(
@@ -215,18 +221,21 @@ class VirtualHashBuffer:
             _RootPartition(self, shard_list[i % len(shard_list)], i)
             for i in range(num_root_partitions)
         ]
+        #: Each root's node CPU, charged once per write call.
+        self._cpus = [root.shard.node.cpu for root in self.roots]
         self._finalized = False
-        #: key -> (root index, sub_hash) memo for :meth:`insert_many`.
+        self._released = False
+        #: key -> (root index, sub_hash) memo for the write path.
         self._route_cache: dict = {}
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
 
-    def _route(self, key: object) -> tuple[_RootPartition, int]:
+    def _route(self, key: object) -> tuple[int, int]:
+        """``(root index, sub_hash)`` of ``key``."""
         h = stable_hash(key)
-        root = self.roots[h % self.num_roots]
-        return root, h // self.num_roots
+        return h % self.num_roots, h // self.num_roots
 
     # ------------------------------------------------------------------
     # the paper's find/insert/set API
@@ -234,127 +243,93 @@ class VirtualHashBuffer:
 
     def find(self, key: object):
         """Return the current value for ``key`` or ``None``."""
-        root, sub = self._route(key)
+        index, sub = self._route(key)
+        root = self.roots[index]
         entry = root.page_for(sub).table.get(key)
         root.shard.node.cpu.per_object(1)
         return entry[0] if entry is not None else None
 
     def insert(self, key: object, value: object, nbytes: int | None = None) -> None:
         """Insert a new key (combines when the key already exists)."""
-        self._put(key, value, nbytes, combine=True)
+        self._write([(key, value, nbytes)], combine=True)
 
     def set(self, key: object, value: object, nbytes: int | None = None) -> None:
         """Overwrite the value for an existing or new key."""
-        self._put(key, value, nbytes, combine=False)
+        self._write([(key, value, nbytes)], combine=False)
 
     def insert_many(
         self, keys: list, values: list, nbytes: int | None = None
     ) -> None:
-        """Batched :meth:`insert` over aligned key/value columns.
-
-        The combine fast path touches only the in-page dict; a new key
-        takes the per-record slot code (slab reserve, split, spill).  A
-        pair costs a whole number of ticks, as in :meth:`insert`, so the
-        pairs are counted per root, and each root that received any is
-        charged by one clock advance at the end, which leaves every node
-        clock exactly where inserting one pair at a time does.  Without an
-        explicit uniform ``nbytes`` each pair is sized on its own, one
-        :meth:`insert` at a time.  Columns of different lengths raise
-        :class:`ValueError` before anything is stored.
+        """:meth:`insert` over aligned key/value columns, each pair of
+        ``nbytes`` (or, without it, sized on its own).  Columns of
+        different lengths raise :class:`ValueError` before anything is
+        stored.
         """
         if len(keys) != len(values):
             raise ValueError(
                 f"insert_many needs aligned columns, got {len(keys)} keys "
                 f"and {len(values)} values"
             )
-        if nbytes is None:
-            for key, value in zip(keys, values):
-                self._put(key, value, None, combine=True)
-            return
+        self._write(zip(keys, values, itertools.repeat(nbytes)), combine=True)
+
+    def _write(self, entries: "typing.Iterable[tuple]", combine: bool) -> None:
+        """The one write path: store or update each ``(key, value, nbytes)``
+        entry, then charge each root's node once.
+
+        An existing key combines (``combine`` with a combiner) or is
+        overwritten in place; a new key reserves page memory (``nbytes``,
+        or else its key and value's estimated size, plus
+        ``ENTRY_OVERHEAD``), growing the root until it fits.  An entry
+        costs a whole number of ticks, so summing them per root and
+        advancing each clock once leaves it exactly where charging entry
+        by entry does.  A closed buffer raises :class:`RuntimeError`
+        before anything is touched.
+        """
         if self._finalized:
             raise RuntimeError("hash buffer already finalized")
-        entry_bytes = nbytes + ENTRY_OVERHEAD
+        if self._released:
+            raise RuntimeError("hash buffer already released")
         roots = self.roots
-        num_roots = self.num_roots
-        combiner = self.combiner
-        combines = 0
-        puts = [0] * num_roots
-        fresh = [0] * num_roots
+        cpus = self._cpus
+        combiner = self.combiner if combine else None
         # Routing is a pure function of the key (splits only deepen the
         # per-root directory, consulted below), so cache it across calls;
         # aggregation keys repeat heavily and stable_hash is pure Python.
         route = self._route_cache
-        for key, value in zip(keys, values):
-            cached = route.get(key)
-            if cached is None:
-                h = stable_hash(key)
-                cached = route[key] = (h % num_roots, h // num_roots)
-            index, sub = cached
-            puts[index] += 1
-            root = roots[index]
-            part = root.directory[sub & ((1 << root.local_depth) - 1)]
-            existing = part.table.get(key)
-            if existing is not None:
-                new_value = (
-                    combiner(existing[0], value) if combiner is not None else value
-                )
-                part.table[key] = (new_value, existing[1], existing[2])
-                combines += 1
-            else:
-                self._store(root, part, key, value, sub, entry_bytes)
-                fresh[index] += 1
-        self.stats.combines += combines
-        for root, count, new in zip(roots, puts, fresh):
-            if count:
-                cpu = root.shard.node.cpu
-                if cpu.clock is not None:
-                    cpu.clock.advance_ticks(
-                        new * cpu.record_ticks(entry_bytes, 1, 1.5)
-                        + (count - new) * cpu.record_ticks(0, 1, 1.5)
-                    )
-
-    def _put(self, key: object, value: object, nbytes: int | None, combine: bool) -> None:
-        if self._finalized:
-            raise RuntimeError("hash buffer already finalized")
-        root, sub = self._route(key)
-        cpu = root.shard.node.cpu
-        part = root.page_for(sub)
-        existing = part.table.get(key)
-        if existing is not None:
-            old_value, old_sub, old_bytes = existing
-            if combine and self.combiner is not None:
-                new_value = self.combiner(old_value, value)
-            else:
-                new_value = value
-            part.table[key] = (new_value, old_sub, old_bytes)
-            self.stats.combines += 1
-            cpu.per_object(1, factor=1.5)
-            return
-        entry_bytes = (
-            nbytes
-            if nbytes is not None
-            else estimate_bytes(key) + estimate_bytes(value)
-        ) + ENTRY_OVERHEAD
-        self._store(root, part, key, value, sub, entry_bytes)
-        # The per-object work plus the copy of the new entry.
-        cpu.records(1, entry_bytes, factor=1.5)
-
-    def _store(
-        self, root: _RootPartition, part: HashPartitionPage, key: object,
-        value: object, sub: int, entry_bytes: int,
-    ) -> None:
-        """Reserve page memory for a new entry, growing the root until it
-        fits, then store the entry (the caller charges it)."""
-        attempts = 0
-        while True:
-            offset = part.try_reserve(entry_bytes)
-            if offset is not None:
-                part.table[key] = (value, sub, entry_bytes)
-                part.sync_page_accounting()
-                self.stats.inserts += 1
-                return
-            part = self._grow(root, part, sub, attempts)
-            attempts += 1
+        ticks = [0] * self.num_roots
+        combines = 0
+        try:
+            for key, value, nbytes in entries:
+                cached = route.get(key)
+                if cached is None:
+                    cached = route[key] = self._route(key)
+                index, sub = cached
+                root = roots[index]
+                part = root.directory[sub & ((1 << root.local_depth) - 1)]
+                existing = part.table.get(key)
+                if existing is not None:
+                    if combiner is not None:
+                        value = combiner(existing[0], value)
+                    part.table[key] = (value, existing[1], existing[2])
+                    combines += 1
+                    entry_bytes = 0
+                else:
+                    if nbytes is None:
+                        nbytes = estimate_bytes(key) + estimate_bytes(value)
+                    entry_bytes = nbytes + ENTRY_OVERHEAD
+                    attempts = 0
+                    while part.try_reserve(entry_bytes) is None:
+                        part = self._grow(root, part, sub, attempts)
+                        attempts += 1
+                    part.table[key] = (value, sub, entry_bytes)
+                    part.sync_page_accounting()
+                    self.stats.inserts += 1
+                ticks[index] += cpus[index].record_ticks(entry_bytes, 1, 1.5)
+        finally:
+            self.stats.combines += combines
+            for cpu, total in zip(cpus, ticks):
+                if total and cpu.clock is not None:
+                    cpu.clock.advance_ticks(total)
 
     def _grow(
         self, root: _RootPartition, part: HashPartitionPage, sub: int, attempts: int
@@ -394,16 +369,11 @@ class VirtualHashBuffer:
         the pinned live pages.  Rebuilding hash structure from spilled data
         pays the paper's ``wr > 1`` penalty as extra CPU time.
         """
-        node = root.shard.node
         if page.in_memory:
             records = list(page.records)
         else:
             records, _cost = root.shard.file.read_page(page.page_id)
-            penalty = self.dataset.attributes.random_reread_penalty - 1.0
-            if penalty > 0:
-                node.cpu.compute(
-                    penalty * page.size / node.disks.disks[0].read_bandwidth
-                )
+            root.shard.charge_reread_penalty(page)
         self.stats.reloads += 1
         return records
 
@@ -432,8 +402,7 @@ class VirtualHashBuffer:
                 records = self._read_spilled(root, page)
                 if page in root.shard.pages and not page.pinned:
                     root.shard.drop_page(page)
-                for key, value, nbytes in records:
-                    self._put(key, value, nbytes, combine=True)
+                self._write(records, combine=True)
         self._detach()
 
     def items(self) -> "typing.Iterator[tuple[object, object]]":
@@ -473,7 +442,12 @@ class VirtualHashBuffer:
         return total
 
     def release(self) -> None:
-        """Unpin every live page so the set can be evicted or dropped."""
+        """Unpin every live page so the set can be evicted or dropped.
+
+        The buffer stays readable (:meth:`find`, :meth:`items`, ``len``)
+        but takes no more writes.
+        """
+        self._released = True
         for root in self.roots:
             for part in root.live_pages():
                 if not part.spilled and part.page.pinned:

@@ -1,10 +1,12 @@
 """Tests for the hash service: virtual hash buffers, splits, spills."""
 
+import dataclasses
+
 import pytest
 
 from repro import CurrentOperation, MachineProfile, PangeaCluster, ReadingPattern, WritingPattern
 from repro.services.hashsvc import VirtualHashBuffer
-from repro.sim.devices import MB
+from repro.sim.devices import KB, MB
 
 
 def make_cluster(pool=16 * MB):
@@ -162,6 +164,39 @@ class TestGrowthAndSpill:
         buffer.release()
         for shard in data.shards.values():
             assert all(not p.pinned for p in shard.pages)
+        data.end_lifetime()
+        cluster.drop_set("h")
+
+    def test_writes_after_release_rejected(self):
+        cluster = make_cluster(pool=4 * MB)
+        data = cluster.create_set("h", durability="write-back", page_size=256 * KB)
+        buffer = VirtualHashBuffer(data, num_root_partitions=2)
+        for i in range(100):
+            buffer.insert(i, i, nbytes=68)
+        buffer.release()
+        node = cluster.nodes[0]
+        clock, pages, stats = node.clock.ticks, len(data.shards[0].pages), buffer.stats
+        stats = dataclasses.replace(stats)
+        # Enough new keys to split every root several times if accepted.
+        for write in (
+            lambda: buffer.insert(100, 0, nbytes=68),
+            lambda: buffer.insert(100, 0),
+            lambda: buffer.set(5, 0, nbytes=68),
+            lambda: buffer.insert_many(list(range(100, 20000)), [0] * 19900),
+            lambda: buffer.insert_many(list(range(100, 20000)), [0] * 19900, nbytes=68),
+        ):
+            with pytest.raises(RuntimeError, match="released"):
+                write()
+        # Nothing was stored, pinned, counted or charged.
+        assert node.clock.ticks == clock
+        assert len(data.shards[0].pages) == pages
+        assert buffer.stats == stats
+        assert not any(p.pinned for p in data.shards[0].pages)
+        # Reads and a repeated release keep working.
+        assert buffer.find(7) == 7 and buffer.find(100) is None
+        assert len(buffer) == 100
+        assert dict(buffer.items()) == {i: i for i in range(100)}
+        buffer.release()
         data.end_lifetime()
         cluster.drop_set("h")
 

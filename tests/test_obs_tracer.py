@@ -165,6 +165,42 @@ class TestClusterTracing:
         _scan_workload(traced)
         assert traced.simulated_seconds() == plain.simulated_seconds()
 
+    def _evict_one(self, dirty):
+        """Evict one resident page of a write-back set with tracing on;
+        returns the eviction's shard and disk events."""
+        cluster = self._cluster()
+        data = cluster.create_set("e", durability="write-back",
+                                  page_size=512 * KB, object_bytes=64 * KB)
+        data.add_data(list(range(8)))  # one dirty 512 KB page
+        shard = data.shards[0]
+        page = shard.pages[0]
+        if not dirty:
+            shard.evict_page(page)  # persists the image
+            shard.pin_page(page)
+            shard.unpin_page(page)
+        tracer = cluster.enable_tracing()
+        result = shard.evict_page(page)
+        assert result.flushed is dirty
+        return [e for e in tracer.events if e.cat in ("paging", "disk")]
+
+    def test_dirty_single_eviction_traces_as_a_batch(self):
+        events = self._evict_one(dirty=True)
+        assert [(e.name, e.ph) for e in events] == [
+            ("disk.write_many", "X"), ("shard.flush_batch", "X"),
+            ("shard.evict", "i"),
+        ]
+        disk, flush, evict = events
+        assert disk.args["pages"] == 1 and disk.args["nbytes"] == 512 * KB
+        assert flush.args["pages"] == 1 and flush.args["nbytes"] == 512 * KB
+        assert flush.dur == pytest.approx(disk.dur) and flush.dur > 0
+        assert evict.args["flushed"] is True
+        assert evict.args["nbytes"] == 512 * KB
+
+    def test_clean_single_eviction_traces_only_the_instant(self):
+        events = self._evict_one(dirty=False)
+        assert [(e.name, e.ph) for e in events] == [("shard.evict", "i")]
+        assert events[0].args["flushed"] is False
+
     def test_custom_capacity(self):
         cluster = self._cluster()
         tracer = cluster.enable_tracing(capacity=8)

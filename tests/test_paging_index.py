@@ -586,12 +586,18 @@ class TestWriteMany:
             loaded, _cost = batched.read_page(page_id)
             assert loaded == records
 
-    def test_set_file_write_many_single_entry_delegates(self):
-        array, _ = self.make_array()
+    def test_set_file_single_page_write_charges_one_disk_write(self):
+        # One image through the batched path costs what DiskArray.write
+        # of its size does: seconds, per-disk bytes and operations.
+        array, clock = self.make_array()
         file = SetFile("s", array)
-        file.write_many([(1, ["x"], PAGE)])
+        cost = file.write_page(1, ["x"], PAGE)
+        reference, reference_clock = self.make_array()
+        assert cost == reference.write(PAGE) == clock.now == reference_clock.now
         assert file.contains(1)
-        assert array.disks[0].stats.num_writes == 1
+        for disk, expected in zip(array.disks, reference.disks):
+            assert disk.stats == expected.stats
+            assert disk.stats.num_writes == 1
 
     def test_empty_batch_is_free(self):
         array, clock = self.make_array()
