@@ -16,10 +16,14 @@ storage manager needs:
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
+import io
 import pickle
 import typing
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.sim.clock import charge
 from repro.sim.devices import DiskArray
@@ -29,28 +33,71 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.node import WorkerNode
 
 
+def rebuild_array(dtype: str, shape: tuple, data: bytes) -> np.ndarray:
+    """Decode one array of a page image: a read-only view of ``data``."""
+    return np.frombuffer(data, dtype).reshape(shape)
+
+
+def _reduce_array(array: np.ndarray):
+    """Encode a plain ndarray as its dtype string, shape and C-order bytes.
+
+    Object dtypes and dtypes that are not builtin (structured, with
+    metadata, non-native byte order, datetime, string, void) keep numpy's
+    own reduce, which is exact for them too.
+    """
+    dtype = array.dtype
+    if dtype.hasobject or dtype.isbuiltin != 1:
+        return array.__reduce_ex__(5)
+    return rebuild_array, (dtype.str, array.shape, array.tobytes())
+
+
+class _ImagePickler(pickle.Pickler):
+    """Pickles page images; only exact ``numpy.ndarray`` objects differ
+    from ``pickle.dumps`` (subclasses are not in the table)."""
+
+    dispatch_table = {**copyreg.dispatch_table, np.ndarray: _reduce_array}
+
+
+def encode_image(records: list) -> bytes:
+    """The exact encoding of a page payload that :func:`page_checksum`
+    hashes; ``pickle.loads`` decodes it, plain arrays read-only.
+
+    Records must be picklable; an unpicklable payload raises
+    :class:`TypeError`.
+    """
+    encoded = io.BytesIO()
+    try:
+        _ImagePickler(encoded, protocol=5).dump(records)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise TypeError(f"page records must be picklable: {exc}") from exc
+    return encoded.getvalue()
+
+
 def page_checksum(records: list) -> int:
     """Order-sensitive 64-bit checksum of a page payload.
 
-    The payload is encoded in one pass by ``pickle`` (protocol 5) and the
-    bytes are hashed with BLAKE2b cut to 8 bytes.  The encoding is exact:
-    numpy arrays contribute their dtype, shape and raw element bytes, and
-    floats their full IEEE-754 bits, so a one-ULP change to any element of
-    any array is caught.  Both steps are deterministic across processes for
-    the record types pages hold (dicts, lists, tuples, strings, numbers,
-    arrays); a ``set`` record would not be, since its iteration order
-    follows the per-process string hash.
+    The payload is encoded in one pass by :func:`encode_image`, a
+    ``pickle`` (protocol 5) pickler, and the bytes are hashed with BLAKE2b
+    cut to 8 bytes.  The encoding is exact: a plain numpy array
+    contributes its dtype string, shape and raw element bytes in C order
+    (so equal-content C- and Fortran-order arrays, and a view and its
+    copy, checksum equal), and floats their full IEEE-754 bits, so a
+    one-ULP change to any element of any array is caught.  Arrays with an
+    object dtype or a dtype that is not builtin (structured, with
+    metadata, non-native byte order, datetime, string, void) and ndarray
+    subclasses keep numpy's own pickle, as does every other record type.
+    Both steps are deterministic across processes for the record types
+    pages hold (dicts, lists, tuples, strings, numbers, arrays); a ``set``
+    record would not be, since its iteration order follows the
+    per-process string hash.
 
     The checksum covers the exact objects stored, shared references
     included, so it must be taken over the same record objects that are
     later verified.  Records must be picklable; an unpicklable payload
     raises :class:`TypeError`.
     """
-    try:
-        encoded = pickle.dumps(records, protocol=5)
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        raise TypeError(f"page records must be picklable: {exc}") from exc
-    return int.from_bytes(hashlib.blake2b(encoded, digest_size=8).digest(), "little")
+    digest = hashlib.blake2b(encode_image(records), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 #: Sentinel injected into corrupted payloads; never equal to a user record.

@@ -217,8 +217,9 @@ class PangeaKMeans:
                     keys = []
                     values = []
                     for point, norm in page.records:
-                        # ||p - c||^2 = ||p||^2 - 2 p.c + ||c||^2 (norms trick)
-                        keys.append(int((norm - two_c @ point + centroid_norms).argmin()))
+                        # ||p - c||^2 = ||p||^2 - 2 p.c + ||c||^2 (norms trick);
+                        # .dot is the same dgemv as @ without the ufunc dispatch.
+                        keys.append(int((norm - two_c.dot(point) + centroid_norms).argmin()))
                         values.append((point * represent, represent))
                     buffer.insert_many(keys, values, nbytes=nbytes)
             partials.append(dict(buffer.items()))

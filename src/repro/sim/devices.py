@@ -167,7 +167,8 @@ class DiskArray:
     def _transfer(
         self, point: str, span: str, nbytes: int, num_ios: int, **args
     ) -> float:
-        """Fault hook, per-disk counters, trace span, then the clock charge.
+        """Fault hook, per-disk counters, the clock charge, then a trace span
+        whose duration is the seconds charged.
 
         A negative size is rejected before any of them is touched.
         """
@@ -186,12 +187,15 @@ class DiskArray:
             else:
                 disk.stats.bytes_read += chunk
                 disk.stats.num_reads += ios
-        cost = self._chunk_seconds(chunks, num_ios, write) + extra
         tracer = self.tracer
+        start = tracer.now if tracer is not None else 0.0
+        cost = charge(
+            self.disks[0].clock, self._chunk_seconds(chunks, num_ios, write) + extra
+        )
         if tracer is not None:
-            tracer.span(span, "disk", tracer.now, cost,
+            tracer.span(span, "disk", start, cost,
                         nbytes=nbytes, **args, num_ios=num_ios)
-        return charge(self.disks[0].clock, cost)
+        return cost
 
     def total_bytes_written(self) -> int:
         return sum(d.stats.bytes_written for d in self.disks)

@@ -106,20 +106,24 @@ class NetworkLink:
         if peer is not None and peer is not self:
             peer.stats.bytes_received += nbytes
             peer.stats.messages_received += num_messages
-        cost = num_messages * self.latency + nbytes / self.bandwidth + extra
         tracer = self.tracer
+        start = tracer.now if tracer is not None else 0.0
+        cost = charge(
+            self.clock, num_messages * self.latency + nbytes / self.bandwidth + extra
+        )
         if tracer is not None:
-            tracer.span("net.transfer", "network", tracer.now, cost,
+            tracer.span("net.transfer", "network", start, cost,
                         nbytes=nbytes, num_messages=num_messages)
-        return charge(self.clock, cost)
+        return cost
 
     def message(self, num_messages: int = 1) -> float:
         """Charge control-plane messages (page pin/unpin metadata etc.)."""
         extra = self._fire_with_retries("net.message", 0)
         self.stats.num_messages += num_messages
-        cost = num_messages * self.latency + extra
         tracer = self.tracer
+        start = tracer.now if tracer is not None else 0.0
+        cost = charge(self.clock, num_messages * self.latency + extra)
         if tracer is not None:
-            tracer.span("net.message", "network", tracer.now, cost,
+            tracer.span("net.message", "network", start, cost,
                         num_messages=num_messages)
-        return charge(self.clock, cost)
+        return cost

@@ -235,7 +235,9 @@ class TestPageIntegrity:
         script = (
             "from repro.fs.page_file import page_checksum; import numpy as np; "
             "print(page_checksum([{'l_comment': 'line', 'l_tax': 0.05}, "
-            "(np.arange(4.0), 2.5), (7, 3), 'x']))"
+            "(np.arange(4.0), 2.5), (7, 3), 'x', np.arange(12.0).reshape(3, 4)[1], "
+            "np.arange(5, dtype=np.int32), np.arange(3, dtype='>f8'), "
+            "np.array([1, 'a', (2.5,)], dtype=object)]))"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         values = {
@@ -256,6 +258,28 @@ class TestPageIntegrity:
         with pytest.raises(PageCorruptionError):
             handle.read_page(1)
 
+    @pytest.mark.parametrize("kind", ["object", "structured", "masked"])
+    def test_changed_element_of_a_numpy_pickled_array_detected_on_read(self, disks, kind):
+        """Arrays outside the dtype/shape/bytes encoding keep numpy's own
+        pickle, which must be exact too."""
+        array = {
+            "object": lambda: np.array([1, "a", (2.5,)], dtype=object),
+            "structured": lambda: np.array(
+                [(1, 0.5), (2, 1.5)], dtype=[("key", "<i8"), ("value", "<f8")]
+            ),
+            "masked": lambda: np.ma.MaskedArray([1.0, 2.0, 3.0], mask=[False, True, False]),
+        }[kind]()
+        handle = SetFile("s", disks)
+        handle.write_page(1, [array, "tail"], 1 * MB)
+        if kind == "structured":
+            array[1]["value"] = np.nextafter(1.5, np.inf)
+        elif kind == "masked":
+            array.mask[0] = True
+        else:
+            array[1] = "b"
+        with pytest.raises(PageCorruptionError):
+            handle.read_page(1)
+
     def test_unpicklable_payload_leaves_the_file_untouched(self, disks):
         handle = SetFile("s", disks)
         handle.write_page(1, ["a"], 1 * MB)
@@ -266,7 +290,9 @@ class TestPageIntegrity:
             handle.write_page(1, ["b", threading.Lock()], 2 * MB)
         with pytest.raises(TypeError, match="picklable"):
             handle.write_many([(3, ["c"], 1 * MB), (4, [threading.Lock()], 1 * MB)])
-        for page_id in (2, 3, 4):
+        with pytest.raises(TypeError, match="picklable"):
+            handle.write_page(5, [np.array([1, threading.Lock()], dtype=object)], 1 * MB)
+        for page_id in (2, 3, 4, 5):
             assert not handle.contains(page_id)
         handle.assert_extent_accounting()
         assert (handle.bytes_on_disk, handle.disk_head_bytes, disks.total_bytes_written()) == footprint

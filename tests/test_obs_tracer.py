@@ -4,7 +4,7 @@ import pytest
 
 from repro import MachineProfile, PangeaCluster
 from repro.obs.tracer import DEFAULT_CAPACITY, NodeTracer, Tracer
-from repro.sim.clock import SimClock, TickCounter
+from repro.sim.clock import TICKS_PER_SECOND, SimClock, TickCounter
 from repro.sim.devices import KB, MB
 
 
@@ -165,9 +165,10 @@ class TestClusterTracing:
         _scan_workload(traced)
         assert traced.simulated_seconds() == plain.simulated_seconds()
 
-    def _evict_one(self, dirty):
+    def _evict_one(self, dirty, ticks=None):
         """Evict one resident page of a write-back set with tracing on;
-        returns the eviction's shard and disk events."""
+        returns the eviction's shard and disk events.  ``ticks``, if given,
+        receives the node clock's reading before and after the eviction."""
         cluster = self._cluster()
         data = cluster.create_set("e", durability="write-back",
                                   page_size=512 * KB, object_bytes=64 * KB)
@@ -179,7 +180,11 @@ class TestClusterTracing:
             shard.pin_page(page)
             shard.unpin_page(page)
         tracer = cluster.enable_tracing()
+        clock = shard.node.clock
+        before = clock.ticks
         result = shard.evict_page(page)
+        if ticks is not None:
+            ticks.extend([before, clock.ticks])
         assert result.flushed is dirty
         return [e for e in tracer.events if e.cat in ("paging", "disk")]
 
@@ -195,6 +200,16 @@ class TestClusterTracing:
         assert flush.dur == pytest.approx(disk.dur) and flush.dur > 0
         assert evict.args["flushed"] is True
         assert evict.args["nbytes"] == 512 * KB
+
+    def test_flush_span_durations_are_the_seconds_charged(self):
+        """Disk spans record the quantised charge, not the unrounded cost,
+        so they nest exactly in the flush span and sum to clock time."""
+        ticks = []
+        disk, flush, _evict = self._evict_one(dirty=True, ticks=ticks)
+        before, after = ticks
+        charged = (after - before) / TICKS_PER_SECOND
+        assert disk.dur == flush.dur == charged
+        assert disk.dur * TICKS_PER_SECOND == after - before
 
     def test_clean_single_eviction_traces_only_the_instant(self):
         events = self._evict_one(dirty=False)

@@ -1,6 +1,7 @@
 """Cross-module property-based tests on core invariants."""
 
 import copy
+import pickle
 from collections import Counter
 from functools import partial
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import FaultInjector, MachineProfile, PangeaCluster
-from repro.fs.page_file import page_checksum
+from repro.fs.page_file import encode_image, page_checksum
 from repro.query.batch import BatchStepRunner
 from repro.query.pipeline import run_steps
 from repro.services.hashsvc import VirtualHashBuffer
@@ -83,9 +84,38 @@ def test_stable_hash_is_deterministic_and_bounded(value):
 
 _FLOATS = st.floats(allow_nan=False, width=64)
 _POINTS = hnp.arrays(np.float64, st.integers(min_value=1, max_value=8), elements=_FLOATS)
+_SIDES = st.integers(min_value=1, max_value=8)
+_MATRICES = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5), elements=_FLOATS
+)
+
+
+def _arrays(dtype, elements=None):
+    return hnp.arrays(dtype, _SIDES, elements=elements)
+
+
+#: Arrays of other dtypes, shapes and memory layouts, which the checksum's
+#: array encoding must treat exactly (``>f8`` keeps numpy's own pickle).
+_ARRAY_RECORDS = {
+    "ndarray-int32": _arrays(np.int32),
+    "ndarray-int64": _arrays(np.int64),
+    "ndarray-float32": _arrays(np.float32, st.floats(allow_nan=False, width=32)),
+    "ndarray-big-endian-f8": _arrays(np.dtype(">f8"), _FLOATS),
+    "ndarray-bool": _arrays(np.bool_),
+    "ndarray-complex128": _arrays(np.complex128, st.complex_numbers(allow_nan=False)),
+    "ndarray-0d": hnp.arrays(np.float64, (), elements=_FLOATS),
+    "ndarray-empty": hnp.arrays(np.float64, st.sampled_from([(0,), (0, 3), (2, 0)])),
+    "ndarray-2d": _MATRICES,
+    "ndarray-row-view": _MATRICES.map(lambda matrix: matrix[len(matrix) // 2]),
+    "ndarray-fortran": _MATRICES.map(np.asfortranarray),
+    "ndarray-strided": hnp.arrays(
+        np.int64, st.integers(min_value=1, max_value=16)
+    ).map(lambda array: array[::3]),
+}
 
 #: Every record type the workloads store in pages: TPC-H rows, k-means
-#: points (bare, and with their norm), shuffle pairs, and strings.
+#: points (bare, and with their norm), shuffle pairs, and strings; plus
+#: the arrays above.
 STORED_RECORDS = {
     "tpch-row": st.fixed_dictionaries({
         "l_orderkey": st.integers(min_value=1, max_value=6_000_000),
@@ -100,6 +130,7 @@ STORED_RECORDS = {
     "ndarray-float": st.tuples(_POINTS, _FLOATS),
     "int-pair": st.tuples(st.integers(), st.integers()),
     "str": st.text(max_size=30),
+    **_ARRAY_RECORDS,
 }
 
 
@@ -156,6 +187,66 @@ def test_page_checksum_sees_any_swap(kind, data):
     swapped = list(records)
     swapped[i], swapped[j] = swapped[j], swapped[i]
     assert page_checksum(swapped) != page_checksum(records)
+
+
+#: (dtype, dtype) pairs whose ``view`` reinterprets the same bytes.
+_REINTERPRETATIONS = [
+    (np.float64, np.int64), (np.int64, np.float64), (np.float32, np.int32),
+    (np.bool_, np.uint8), (np.complex128, np.float64),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_page_checksum_sees_a_dtype_or_shape_only_change(data):
+    """The dtype string and the shape are encoded, not just the bytes."""
+    dtype, other = data.draw(st.sampled_from(_REINTERPRETATIONS))
+    array = data.draw(hnp.arrays(dtype, _SIDES))
+    before = page_checksum([array])
+    assert page_checksum([array.view(other)]) != before
+    assert page_checksum([array.reshape(1, -1)]) != before
+    assert page_checksum([array.reshape(-1, 1)]) != before
+    if array.size == 1:
+        assert page_checksum([array.reshape(())]) != before
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    array=st.one_of(
+        _MATRICES,
+        _MATRICES.map(lambda matrix: matrix[len(matrix) // 2]),
+        _MATRICES.map(np.asfortranarray),
+        _MATRICES.map(lambda matrix: matrix[::2, ::-1]),
+        _MATRICES.map(lambda matrix: matrix.T),
+        hnp.arrays(np.int32, st.integers(min_value=1, max_value=16)).map(lambda a: a[1::2]),
+    )
+)
+def test_page_checksum_of_a_view_equals_its_copy(array):
+    """Only contents count: layout, strides and a shared base do not."""
+    value = page_checksum([array])
+    assert page_checksum([array.copy()]) == value
+    assert page_checksum([np.asfortranarray(array)]) == value
+    assert page_checksum([np.ascontiguousarray(array)]) == value
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_RECORDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_encoded_image_decodes_to_equal_records(kind, data):
+    records = data.draw(st.lists(STORED_RECORDS[kind], max_size=10))
+    decoded = pickle.loads(encode_image(records))
+    assert len(decoded) == len(records)
+    for got, want in zip(decoded, records):
+        assert _same_exactly(got, want)
+
+
+def _same_exactly(a, b) -> bool:
+    """``_same`` that requires arrays to match in dtype, shape and bits."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_exactly, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return a == b
 
 
 @settings(max_examples=50, deadline=None)
