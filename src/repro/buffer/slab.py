@@ -11,6 +11,7 @@ where the STL map starts swapping at 200M.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 from repro.sim.devices import MB
@@ -24,10 +25,15 @@ class SlabExhaustedError(MemoryError):
     """
 
 
+@functools.cache
 def build_size_classes(
     chunk_min: int = 80, growth_factor: float = 1.25, chunk_max: int = 1 * MB
-) -> list[int]:
-    """The geometric chunk-size ladder memcached uses."""
+) -> tuple[int, ...]:
+    """The geometric chunk-size ladder memcached uses.
+
+    Like memcached's start-up table, the ladder is computed once per
+    geometry: every allocator of the same geometry shares one tuple.
+    """
     if chunk_min <= 0:
         raise ValueError("chunk_min must be positive")
     if growth_factor <= 1.0:
@@ -38,7 +44,7 @@ def build_size_classes(
         classes.append(size)
         size = max(size + 8, int(math.ceil(size * growth_factor / 8.0) * 8))
     classes.append(chunk_max)
-    return classes
+    return tuple(classes)
 
 
 class SlabAllocator:
@@ -66,9 +72,10 @@ class SlabAllocator:
             chunk_min=chunk_min, growth_factor=growth_factor, chunk_max=slab_size
         )
         self._arena_head = 0
-        # Per class: list of free chunk offsets, and the carving frontier of
-        # the class's current slab as (next_offset, end_offset).
-        self._free_chunks: dict[int, list[int]] = {i: [] for i in range(len(self.size_classes))}
+        # Per class: list of free chunk offsets (created on the class's first
+        # free), and the carving frontier of the class's current slab as
+        # (next_offset, end_offset).
+        self._free_chunks: dict[int, list[int]] = {}
         self._frontier: dict[int, tuple[int, int]] = {}
         self._chunk_class: dict[int, int] = {}
         self.used_bytes = 0
@@ -101,7 +108,7 @@ class SlabAllocator:
             raise ValueError(f"allocation size must be positive, got {size}")
         cls = self._class_for(size)
         chunk_size = self.size_classes[cls]
-        free_list = self._free_chunks[cls]
+        free_list = self._free_chunks.get(cls)
         if free_list:
             offset = free_list.pop()
         else:
@@ -121,7 +128,10 @@ class SlabAllocator:
         cls = self._chunk_class.pop(offset, None)
         if cls is None:
             raise ValueError(f"no allocated chunk at offset {offset}")
-        self._free_chunks[cls].append(offset)
+        free_list = self._free_chunks.get(cls)
+        if free_list is None:
+            free_list = self._free_chunks[cls] = []
+        free_list.append(offset)
         self.used_bytes -= self.size_classes[cls]
         self.requested_bytes -= size
 

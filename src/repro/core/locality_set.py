@@ -479,9 +479,15 @@ class LocalitySet:
 
     def scan_records(self, workers: int = 1):
         """Convenience full scan yielding every record in the set."""
-        for iterator in self.get_page_iterators(workers):
-            for page in iterator:
-                yield from page.records
+        iterators = self.get_page_iterators(workers)
+        try:
+            for iterator in iterators:
+                for page in iterator:
+                    yield from page.records
+        finally:
+            # An abandoned scan closes the iterators it never reached.
+            for iterator in iterators:
+                iterator.close()
 
     # ------------------------------------------------------------------
     # page-image index (read-repair support)

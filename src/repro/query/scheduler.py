@@ -415,31 +415,34 @@ class QueryScheduler:
         agg_page_size = max(4 * MB, 64 * self.object_bytes)
         # Local stage: one hash-service buffer per node.  The manager is
         # not thread-safe: create every per-node temp set on the driver
-        # first, run the local stages, drop after joining.
+        # first, run the local stages, drop after joining, also when a
+        # stage fails (a long-lived cluster must not keep its sets).
         temps: dict[int, "LocalitySet"] = {}
-        for node_id, records in child.per_node.items():
-            if not records:
-                continue
-            self._temp_counter += 1
-            temps[node_id] = self.cluster.create_set(
-                f"__agg{self._temp_counter}_n{node_id}",
-                durability="write-back",
-                page_size=agg_page_size,
-                nodes=[node_id],
-                object_bytes=self.object_bytes,
-            )
-        tasks = {
-            node_id: (
-                lambda nid=node_id, temp=temp: self._local_agg_task(
-                    agg, child.per_node[nid], temp
+        try:
+            for node_id, records in child.per_node.items():
+                if not records:
+                    continue
+                self._temp_counter += 1
+                temps[node_id] = self.cluster.create_set(
+                    f"__agg{self._temp_counter}_n{node_id}",
+                    durability="write-back",
+                    page_size=agg_page_size,
+                    nodes=[node_id],
+                    object_bytes=self.object_bytes,
                 )
-            )
-            for node_id, temp in temps.items()
-        }
-        partials = StageResult(per_node=self._run_batched_stage("local-agg", tasks))
-        for temp in temps.values():
-            temp.end_lifetime()
-            self.cluster.drop_set(temp.name)
+            tasks = {
+                node_id: (
+                    lambda nid=node_id, temp=temp: self._local_agg_task(
+                        agg, child.per_node[nid], temp
+                    )
+                )
+                for node_id, temp in temps.items()
+            }
+            partials = StageResult(per_node=self._run_batched_stage("local-agg", tasks))
+        finally:
+            for temp in temps.values():
+                temp.end_lifetime()
+                self.cluster.drop_set(temp.name)
         self.cluster.barrier()
 
         # Final stage: partials route to key-owner nodes and merge there.
@@ -476,15 +479,18 @@ class QueryScheduler:
         key_fn = agg.key_fn
         seed_fn = agg.seed_fn
         batches = 0
-        for chunk in iter_chunks(records):
-            buffer.insert_many(
-                [key_fn(record) for record in chunk],
-                [seed_fn(record) for record in chunk],
-                nbytes=self.object_bytes,
-            )
-            batches += 1
-        pairs = list(buffer.items())
-        buffer.release()
+        try:
+            for chunk in iter_chunks(records):
+                buffer.insert_many(
+                    [key_fn(record) for record in chunk],
+                    [seed_fn(record) for record in chunk],
+                    nbytes=self.object_bytes,
+                )
+                batches += 1
+            pairs = list(buffer.items())
+        finally:
+            # Unpin the hash pages even when a merge fails.
+            buffer.release()
         return pairs, batches, len(records)
 
     @staticmethod

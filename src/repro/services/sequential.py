@@ -288,11 +288,17 @@ class PageIterator:
         return page
 
     def __iter__(self):
-        while True:
-            page = self.next()
-            if page is None:
-                return
-            yield page
+        # A scan that is abandoned (``break``, a dropped generator) or fails
+        # (an exception in the loop body, a mid-scan crash) still unpins its
+        # page and detaches from the set.
+        try:
+            while True:
+                page = self.next()
+                if page is None:
+                    return
+                yield page
+        finally:
+            self.close()
 
     def close(self) -> None:
         if self._current is not None:

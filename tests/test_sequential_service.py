@@ -228,3 +228,52 @@ class TestPageIterators:
         data = cluster.create_set("s", page_size=1 * MB)
         with pytest.raises(ValueError):
             make_page_iterators(data, 0)
+
+
+class TestAbandonedScan:
+    """A scan that stops early or fails still unpins and detaches."""
+
+    @pytest.fixture
+    def data(self, cluster):
+        data = cluster.create_set("s", page_size=1 * MB, object_bytes=300 * 1024,
+                                  nodes=[0])
+        data.add_data(list(range(12)))  # several pages
+        return data
+
+    @staticmethod
+    def assert_released(data):
+        assert not [p for shard in data.shards.values() for p in shard.pages if p.pinned]
+        assert data.active_readers == 0
+        assert data.attributes.current_operation is CurrentOperation.NONE
+
+    def test_break_out_of_the_loop(self, data):
+        for iterator in make_page_iterators(data, 1):
+            for _page in iterator:
+                break
+        self.assert_released(data)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_dropped_scan_records_generator(self, data, workers):
+        records = data.scan_records(workers=workers)
+        next(records)
+        del records
+        self.assert_released(data)
+
+    def test_exception_in_the_loop_body(self, data):
+        with pytest.raises(RuntimeError):
+            for iterator in make_page_iterators(data, 1):
+                for _page in iterator:
+                    raise RuntimeError("stage failed")
+        self.assert_released(data)
+
+    def test_mid_scan_crash_failing_the_loop_body(self, cluster, data):
+        out = cluster.create_set("o", page_size=1 * MB, object_bytes=300 * 1024,
+                                 nodes=[0])
+        injector = FaultInjector(seed=1).attach(cluster)
+        injector.schedule_crash("mid-scan", node_id=0, at_count=2)
+        with pytest.raises(NodeFailedError):
+            with SequentialWriter(out.shards[0]) as writer:
+                for iterator in make_shard_iterators(data.shards[0], 1):
+                    for page in iterator:
+                        writer.add_data(list(page.records))
+        self.assert_released(data)

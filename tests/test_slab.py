@@ -25,6 +25,36 @@ class TestSizeClasses:
         with pytest.raises(ValueError):
             build_size_classes(growth_factor=1.0)
 
+    @pytest.mark.parametrize("bad", [{"chunk_min": 0}, {"growth_factor": 1.0}])
+    def test_invalid_parameters_raise_on_every_call(self, bad):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                build_size_classes(**bad)
+            with pytest.raises(ValueError):
+                SlabAllocator(1 << 20, **bad)
+
+    def test_same_geometry_shares_one_ladder(self):
+        a = SlabAllocator(1 << 22, slab_size=1 << 20, chunk_min=80, growth_factor=1.25)
+        b = SlabAllocator(1 << 23, slab_size=1 << 20, chunk_min=80, growth_factor=1.25)
+        assert isinstance(a.size_classes, tuple)
+        assert a.size_classes is b.size_classes
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            {"slab_size": 1 << 16},
+            {"chunk_min": 96},
+            {"growth_factor": 1.5},
+        ],
+    )
+    def test_different_geometries_do_not_share(self, geometry):
+        base = SlabAllocator(1 << 22, slab_size=1 << 20, chunk_min=80, growth_factor=1.25)
+        other = SlabAllocator(
+            1 << 22, **{"slab_size": 1 << 20, "chunk_min": 80, "growth_factor": 1.25, **geometry}
+        )
+        assert other.size_classes is not base.size_classes
+        assert other.size_classes != base.size_classes
+
 
 class TestSlabAllocator:
     def test_alloc_free_roundtrip(self):
