@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import typing
-
 from repro.cluster.auth import KeyPair, verify_bootstrap
 from repro.cluster.manager import HeartbeatFailureDetector, Manager
 from repro.cluster.node import WorkerNode
@@ -13,9 +11,6 @@ from repro.sim.clock import synchronize
 from repro.sim.devices import MB
 from repro.sim.faults import RobustnessStats
 from repro.sim.profiles import MachineProfile
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.services.hashsvc import VirtualHashBuffer
 
 DEFAULT_PAGE_SIZE = 256 * MB
 
@@ -102,14 +97,6 @@ class PangeaCluster:
             shard.node.fs.drop_file(name)
         self.manager.drop_set(name)
 
-    def create_virtual_hash_buffer(
-        self, output_set: LocalitySet, num_root_partitions: int = 16
-    ) -> "VirtualHashBuffer":
-        """Attach the hash service to ``output_set`` (paper Sec. 8)."""
-        from repro.services.hashsvc import VirtualHashBuffer
-
-        return VirtualHashBuffer(output_set, num_root_partitions)
-
     # ------------------------------------------------------------------
     # time and synchronization
     # ------------------------------------------------------------------
@@ -122,10 +109,13 @@ class PangeaCluster:
         records timestamped off each node's simulated clock.  Returns the
         :class:`~repro.obs.tracer.Tracer`; export it with
         :func:`repro.obs.to_jsonl` / :func:`repro.obs.to_chrome`.
+        ``capacity`` bounds the event ring (``None``: the default); a
+        capacity below one raises :class:`ValueError` before any node is
+        attached.
         """
         from repro.obs.tracer import DEFAULT_CAPACITY, Tracer
 
-        tracer = Tracer(capacity or DEFAULT_CAPACITY)
+        tracer = Tracer(DEFAULT_CAPACITY if capacity is None else capacity)
         for node in self.nodes:
             node.attach_tracer(tracer)
         self.tracer = tracer

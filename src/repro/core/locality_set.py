@@ -17,7 +17,6 @@ from repro.buffer.page import Page
 from repro.obs.registry import SetMetrics
 from repro.core.recency import RecencyIndex
 from repro.core.attributes import (
-    CurrentOperation,
     DurabilityType,
     LocalitySetAttributes,
     ReadingPattern,
@@ -302,8 +301,9 @@ class LocalShard:
         :class:`~repro.sim.devices.DiskArray` transfer (one seek) for the
         whole image group.  Pages of dead sets or already-persisted pages
         are simply dropped.  The ``flushed`` flag in each result is the
-        ground truth the eviction trace records — a dirty page whose image
-        was already persisted is *not* reported as flushed.
+        ground truth the ``shard.evict`` trace instant records, beside the
+        page's dirty bit before the flush (``was_dirty``) — a dirty page
+        whose image was already persisted is *not* reported as flushed.
         """
         with self.pool.lock:
             for page in pages:
@@ -312,7 +312,11 @@ class LocalShard:
                 if not page.in_memory:
                     raise ValueError(f"page {page.page_id} is not in memory")
             alive = self.attributes.alive
-            flushed = [p.dirty and alive and not p.on_disk for p in pages]
+            was_dirty = [p.dirty for p in pages]
+            flushed = [
+                dirty and alive and not p.on_disk
+                for p, dirty in zip(pages, was_dirty)
+            ]
             flush = [p for p, must_flush in zip(pages, flushed) if must_flush]
             start = self.node.clock.now
             self.file.write_many([(p.page_id, p.records, p.size) for p in flush])
@@ -331,7 +335,7 @@ class LocalShard:
                             set=self.dataset.name, pages=len(flush),
                             nbytes=sum(p.size for p in flush))
             results: "list[EvictResult]" = []
-            for page, must_flush in zip(pages, flushed):
+            for page, dirty, must_flush in zip(pages, was_dirty, flushed):
                 freed = page.size
                 self.pool.release(page)
                 self.recency.remove(page)
@@ -341,7 +345,8 @@ class LocalShard:
                 if tracer is not None:
                     tracer.instant("shard.evict", "paging",
                                    set=self.dataset.name, page_id=page.page_id,
-                                   flushed=must_flush, nbytes=freed)
+                                   was_dirty=dirty, flushed=must_flush,
+                                   nbytes=freed)
                 results.append(EvictResult(freed=freed, flushed=must_flush))
             return results
 
@@ -516,10 +521,6 @@ class LocalitySet:
 
     def end_lifetime(self) -> None:
         self.attributes.end_lifetime()
-
-    def note_operation_done(self) -> None:
-        """Reset CurrentOperation after a job stage finishes with the set."""
-        self.attributes.current_operation = CurrentOperation.NONE
 
     # ------------------------------------------------------------------
     # introspection

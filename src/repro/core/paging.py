@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 import typing
-from collections import deque
 from dataclasses import dataclass
 
 from repro.core.policies import PagingPolicy, make_policy, set_strategy
@@ -36,18 +35,6 @@ class PagingStats:
         self.cost_cache_misses = 0
 
 
-@dataclass(frozen=True)
-class EvictionEvent:
-    """One traced eviction, for debugging and policy tests."""
-
-    tick: int
-    set_name: str
-    page_id: int
-    was_dirty: bool
-    flushed: bool
-    policy: str
-
-
 class PagingSystem:
     """Per-node victim selection driven by a pluggable policy.
 
@@ -56,51 +43,27 @@ class PagingSystem:
     pages, and this class performs the evictions (flushing dirty write-back
     pages through the set's file).
 
-    Thread-safe: the shard registry, stats, trace ring, and policy access
-    are guarded by a reentrant lock.  :meth:`make_room` runs with the
+    Thread-safe: the shard registry, stats, and policy access are
+    guarded by a reentrant lock.  :meth:`make_room` runs with the
     buffer pool's storage lock already held (pool → paging is the lock
     order; see docs/api.md "Concurrency model"), so victim selection and
     eviction are atomic with respect to concurrent pins.
     """
 
-    def __init__(
-        self,
-        policy: "PagingPolicy | str" = "data-aware",
-        trace_capacity: int = 0,
-    ) -> None:
+    def __init__(self, policy: "PagingPolicy | str" = "data-aware") -> None:
         if isinstance(policy, str):
             policy = make_policy(policy)
         self.policy = policy  # also caches its on_access hook
         self._ticks = TickCounter()
         self._shards: list[LocalShard] = []
-        #: Registered shards keyed by set name, replacing the linear
-        #: decision-attribution scan.  Maps to the *first* registered
-        #: shard with each name, matching the old scan's semantics.
-        self._by_name: "dict[str, LocalShard]" = {}
         self._lock = threading.RLock()
         self.stats = PagingStats()
-        #: Bounded eviction trace; enable with enable_trace() or a
-        #: positive trace_capacity.
-        self.trace: "deque[EvictionEvent] | None" = (
-            deque(maxlen=trace_capacity) if trace_capacity > 0 else None
-        )
         #: Per-set counters of shards that were unregistered (set dropped);
         #: kept so per-set totals still reconcile with PoolStats afterwards.
         self.retired_set_metrics: dict[str, SetMetrics] = {}
         #: Optional :class:`~repro.obs.tracer.NodeTracer`; installed by
         #: :meth:`repro.cluster.node.WorkerNode.attach_tracer`.
         self.tracer = None
-
-    def enable_trace(self, capacity: int = 1024) -> None:
-        """Start recording eviction events (bounded ring)."""
-        if capacity < 1:
-            raise ValueError("trace capacity must be positive")
-        with self._lock:
-            self.trace = deque(maxlen=capacity)
-
-    def disable_trace(self) -> None:
-        with self._lock:
-            self.trace = None
 
     # ------------------------------------------------------------------
     # registration and ticking
@@ -109,20 +72,12 @@ class PagingSystem:
     def register_shard(self, shard: "LocalShard") -> None:
         with self._lock:
             self._shards.append(shard)
-            self._by_name.setdefault(shard.dataset.name, shard)
 
     def unregister_shard(self, shard: "LocalShard") -> None:
         with self._lock:
             if shard in self._shards:
                 self._shards.remove(shard)
                 merge_set_metrics(self.retired_set_metrics, [shard.metrics])
-                name = shard.dataset.name
-                if self._by_name.get(name) is shard:
-                    del self._by_name[name]
-                    for other in self._shards:
-                        if other.dataset.name == name:
-                            self._by_name[name] = other
-                            break
 
     @property
     def shards(self) -> "list[LocalShard]":
@@ -192,15 +147,11 @@ class PagingSystem:
                 # The data-aware policy exposes the cost-model evaluation
                 # behind its choice; feed it to the victim set's registry
                 # entry and (when enabled) the structured trace.
-                set_name, tick, breakdown = decision
-                chosen = self._by_name.get(set_name)
-                if chosen is not None:
-                    chosen.metrics.note_cost_sample(
-                        breakdown.total, breakdown.preuse
-                    )
+                chosen, breakdown = decision
+                chosen.metrics.note_cost_sample(breakdown.total, breakdown.preuse)
                 if tracer is not None:
                     tracer.instant(
-                        "paging.victim", "paging", set=set_name,
+                        "paging.victim", "paging", set=chosen.dataset.name,
                         cost=breakdown.total, cw=breakdown.cw,
                         vr=breakdown.vr, wr=breakdown.wr,
                         preuse=breakdown.preuse, age=breakdown.age,
@@ -208,16 +159,12 @@ class PagingSystem:
                     )
             if not victims:
                 return False
-            # Validate the batch up front (victims that became pinned or
-            # left memory between selection and eviction are skipped),
-            # capturing dirty bits before the flush clears them.
-            valid: "list[tuple]" = []
-            for page in victims:
-                if page.shard is None:  # pragma: no cover - defensive
-                    continue
-                if not page.in_memory or page.pinned:
-                    continue
-                valid.append((page, page.dirty))
+            # Validate the batch up front: victims that became pinned or
+            # left memory between selection and eviction are skipped.
+            valid = [
+                page for page in victims
+                if page.shard is not None and page.in_memory and not page.pinned
+            ]
             evicted = 0
             freed_bytes = 0
             # Evict runs of consecutive same-set victims as one batch so
@@ -226,26 +173,14 @@ class PagingSystem:
             # instead of one seek per page.
             i = 0
             while i < len(valid):
-                shard = valid[i][0].shard
+                shard = valid[i].shard
                 j = i
-                while j < len(valid) and valid[j][0].shard is shard:
+                while j < len(valid) and valid[j].shard is shard:
                     j += 1
-                results = shard.evict_pages([p for p, _ in valid[i:j]])
-                for (page, was_dirty), result in zip(valid[i:j], results):
-                    evicted += 1
+                for result in shard.evict_pages(valid[i:j]):
                     freed_bytes += result.freed
-                    self.stats.pages_evicted += 1
-                    if self.trace is not None:
-                        self.trace.append(
-                            EvictionEvent(
-                                tick=self._ticks.now,
-                                set_name=shard.dataset.name,
-                                page_id=page.page_id,
-                                was_dirty=was_dirty,
-                                flushed=result.flushed,
-                                policy=self.policy.name,
-                            )
-                        )
+                evicted += j - i
+                self.stats.pages_evicted += j - i
                 i = j
             if evicted == 0:
                 return False

@@ -238,9 +238,9 @@ class DataAwarePolicy(PagingPolicy):
     def __init__(self, horizon: float = 1.0) -> None:
         self.horizon = horizon
         #: The cost-model evaluation behind the most recent victim choice:
-        #: ``(set_name, tick, CostBreakdown)``.  Read by the paging system
-        #: (under its lock) to feed traces and the per-set registry.
-        self.last_decision: "tuple[str, int, CostBreakdown] | None" = None
+        #: ``(shard, CostBreakdown)``.  Read by the paging system (under
+        #: its lock) to feed traces and the per-set registry.
+        self.last_decision: "tuple[LocalShard, CostBreakdown] | None" = None
 
     def select_victims(
         self, shards: "list[LocalShard]", needed_bytes: int
@@ -259,9 +259,8 @@ class DataAwarePolicy(PagingPolicy):
             breakdown = self._score(shard, now, paging)
             if best is None or breakdown.total < best[1].total:
                 best = (shard, breakdown)
-        shard, breakdown = best
-        self.last_decision = (shard.dataset.name, now, breakdown)
-        return victim_batch(shard)
+        self.last_decision = best
+        return victim_batch(best[0])
 
     def _score(self, shard: "LocalShard", now: int, paging) -> CostBreakdown:
         """One candidate set's expected eviction cost at tick ``now``."""

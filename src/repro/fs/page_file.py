@@ -143,12 +143,10 @@ class SetFile:
         self,
         set_name: str,
         disks: DiskArray,
-        direct_io: bool = True,
         owner: "WorkerNode | None" = None,
     ) -> None:
         self.set_name = set_name
         self.disks = disks
-        self.direct_io = direct_io
         #: The worker node this file lives on (None for standalone use);
         #: gives access to the node's retry policy, robustness counters,
         #: and fault injector.

@@ -40,7 +40,6 @@ def run_smoke(
     pool_mb: int = 8,
     trace: bool = True,
     policy: str = "data-aware",
-    trace_capacity: "int | None" = None,
 ) -> SmokeReport:
     """Run the traced smoke scenario and collect a metrics snapshot.
 
@@ -57,7 +56,7 @@ def run_smoke(
         profile=MachineProfile.tiny(pool_bytes=pool_mb * MB),
         policy=policy,
     )
-    tracer = cluster.enable_tracing(capacity=trace_capacity) if trace else None
+    tracer = cluster.enable_tracing() if trace else None
 
     data = cluster.create_set(
         "smoke_scan", durability="write-back",

@@ -54,12 +54,6 @@ class NodeMetrics:
     #: Per-locality-set registry entries on this node (live + retired).
     sets: "dict[str, SetMetrics]" = field(default_factory=dict)
 
-    @property
-    def pool_utilization(self) -> float:
-        if self.pool_capacity_bytes == 0:
-            return 0.0
-        return self.pool_used_bytes / self.pool_capacity_bytes
-
 
 @dataclass
 class ClusterMetrics:

@@ -81,15 +81,6 @@ class TestManagerEdges:
         with pytest.raises(KeyError):
             cluster.manager.statistics("ghost")
 
-    def test_note_operation_done_resets(self):
-        from repro import CurrentOperation
-
-        cluster = PangeaCluster(num_nodes=1, profile=MachineProfile.tiny())
-        data = cluster.create_set("s", page_size=1 * MB, object_bytes=10)
-        data.add_data([1])
-        data.note_operation_done()
-        assert data.attributes.current_operation is CurrentOperation.NONE
-
 
 class TestDiskArrayEdges:
     def test_odd_byte_counts_conserved(self):

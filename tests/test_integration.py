@@ -9,6 +9,7 @@ from repro.placement.recovery import recover_node
 from repro.placement.replication import register_replica
 from repro.query.operators import ScanNode
 from repro.query.scheduler import QueryScheduler
+from repro.services.hashsvc import VirtualHashBuffer
 from repro.services.shuffle import ShuffleService
 from repro.sim.devices import GB, KB, MB
 
@@ -31,7 +32,7 @@ class TestSharedBufferPoolAcrossWorkloads:
         shuffle.finish_writing()
 
         out = cluster.create_set("agg", durability="write-back", page_size=1 * MB)
-        buffer = cluster.create_virtual_hash_buffer(out, num_root_partitions=2)
+        buffer = VirtualHashBuffer(out, num_root_partitions=2)
         buffer.combiner = lambda a, b: a + b
         for i in range(2000):
             buffer.insert(i % 100, 1, nbytes=60)

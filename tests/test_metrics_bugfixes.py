@@ -3,8 +3,9 @@
 1. ``eviction_cost`` prices striped I/O from the actual per-disk
    bandwidths (heterogeneous arrays), matching what ``DiskArray.read``/
    ``write`` charge — not disk 0's bandwidth divided by the disk count.
-2. ``EvictionEvent.flushed`` reports whether the eviction actually wrote
-   the page image out, not a flag derived after the fact.
+2. The ``shard.evict`` trace instant's ``flushed`` reports whether the
+   eviction actually wrote the page image out, not a flag derived after
+   the fact.
 3. ``format_table`` renders every column with matching header/row widths.
 4. ``metrics.collect`` surfaces ``PagingSystem.stats`` and the network
    receive-side counters.
@@ -139,21 +140,20 @@ class TestEvictionFlushedFlag:
         cluster = PangeaCluster(
             num_nodes=1, profile=MachineProfile.tiny(pool_bytes=2 * MB)
         )
-        paging = cluster.nodes[0].paging
-        paging.enable_trace()
+        tracer = cluster.enable_tracing()
         data = cluster.create_set("s", durability="write-back",
                                   page_size=512 * KB, object_bytes=64 * KB)
         data.add_data(list(range(64)))  # 4MB over a 2MB pool: must evict
         for _ in range(2):
             list(data.scan_records())
-        events = list(paging.trace)
+        events = [e.args for e in tracer.events if e.name == "shard.evict"]
         assert events
-        flush_count = sum(1 for e in events if e.flushed)
+        flush_count = sum(1 for e in events if e["flushed"])
         # Every flushed=True event corresponds to a real pageout; clean
         # re-read pages evicted again must not claim a flush.
         assert flush_count <= cluster.nodes[0].pool.stats.pageouts
-        assert any(e.was_dirty and e.flushed for e in events)
-        assert any(not e.flushed for e in events)
+        assert any(e["was_dirty"] and e["flushed"] for e in events)
+        assert any(not e["flushed"] for e in events)
 
     def test_dead_set_pages_never_flush(self):
         _cluster, shard, page = self._one_page_shard()

@@ -31,11 +31,6 @@ class TestMetrics:
         assert snapshot.total_disk_bytes > 0
         assert snapshot.total_evictions > 0
 
-    def test_pool_utilization_bounded(self, busy_cluster):
-        snapshot = collect(busy_cluster)
-        for node in snapshot.nodes:
-            assert 0.0 <= node.pool_utilization <= 1.0
-
     def test_skew_reasonable(self, busy_cluster):
         snapshot = collect(busy_cluster)
         assert snapshot.skew() >= 1.0

@@ -198,6 +198,7 @@ class TestClusterTracing:
         assert disk.args["pages"] == 1 and disk.args["nbytes"] == 512 * KB
         assert flush.args["pages"] == 1 and flush.args["nbytes"] == 512 * KB
         assert flush.dur == pytest.approx(disk.dur) and flush.dur > 0
+        assert evict.args["was_dirty"] is True
         assert evict.args["flushed"] is True
         assert evict.args["nbytes"] == 512 * KB
 
@@ -214,6 +215,7 @@ class TestClusterTracing:
     def test_clean_single_eviction_traces_only_the_instant(self):
         events = self._evict_one(dirty=False)
         assert [(e.name, e.ph) for e in events] == [("shard.evict", "i")]
+        assert events[0].args["was_dirty"] is False
         assert events[0].args["flushed"] is False
 
     def test_custom_capacity(self):
@@ -222,3 +224,13 @@ class TestClusterTracing:
         _scan_workload(cluster)
         assert len(tracer) <= 8
         assert tracer.dropped == tracer.emitted - len(tracer)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_nonpositive_capacity_rejected_before_attaching(self, capacity):
+        """Only ``None`` selects the default ring; zero is not a size."""
+        cluster = self._cluster()
+        with pytest.raises(ValueError):
+            cluster.enable_tracing(capacity=capacity)
+        assert cluster.tracer is None
+        assert all(node.tracer is None for node in cluster.nodes)
+        assert cluster.nodes[0].paging.tracer is None

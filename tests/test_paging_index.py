@@ -11,8 +11,8 @@ as the paper shows, and the capture records that.  Every case in
 ``make_policy`` name, plus a dead-set case) now runs on the current
 policies and must reproduce the capture exactly:
 
-* the :class:`~repro.core.paging.EvictionEvent` trace as
-  ``(set_name, page_id, was_dirty, flushed, tick)`` tuples,
+* the ``shard.evict`` trace instants as
+  ``(set, page_id, was_dirty, flushed, tick)`` tuples,
 * the node's simulated clock as ``float.hex`` (exact float equality),
 * the pool's ``evictions``/``pageouts`` and the paging system's
   ``eviction_rounds``/``pages_evicted``, and
@@ -74,8 +74,14 @@ def make_cluster(policy):
         num_nodes=1, profile=MachineProfile.tiny(pool_bytes=4 * MB)
     )
     cluster.nodes[0].paging.set_policy(policy)
-    cluster.nodes[0].paging.enable_trace(capacity=100_000)
+    cluster.enable_tracing()
     return cluster
+
+
+def evictions(cluster) -> list:
+    """The ``shard.evict`` instants the cluster's tracer recorded."""
+    assert cluster.tracer.dropped == 0
+    return [e for e in cluster.tracer.events if e.name == "shard.evict"]
 
 
 def run_fig9_workload(cluster, seed=901):
@@ -204,8 +210,9 @@ def run_case(name: str) -> dict:
     node = cluster.nodes[0]
     return {
         "trace": [
-            [e.set_name, e.page_id, e.was_dirty, e.flushed, e.tick]
-            for e in node.paging.trace
+            [e.args["set"], e.args["page_id"], e.args["was_dirty"],
+             e.args["flushed"], e.tick]
+            for e in evictions(cluster)
         ],
         "clock": node.clock.now.hex(),
         "evictions": node.pool.stats.evictions,
@@ -271,10 +278,10 @@ class TestGoldenTraceEquivalence:
                 shard.unpin_page(page)
         dead.end_lifetime()
         live.shards[0].new_page()
-        trace = cluster.nodes[0].paging.trace
-        assert trace[0].set_name == "dead"
+        first = evictions(cluster)[0]
+        assert first.args["set"] == "dead"
         # Dead data is dropped, never flushed.
-        assert not trace[0].flushed
+        assert not first.args["flushed"]
 
     def test_dead_set_golden_trace_matches(self, golden):
         observed = assert_golden(golden, "dead-set-data-aware")

@@ -1,4 +1,4 @@
-"""Property-based tests for the I/O layers: tbl files and checkpoints."""
+"""Property-based tests for the I/O layers: checkpoints."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,34 +7,6 @@ from hypothesis import strategies as st
 from repro import MachineProfile, PangeaCluster
 from repro.cluster.checkpoint import checkpoint, restore
 from repro.sim.devices import MB
-from repro.tpch.tbl_io import read_tbl, write_tbl
-
-comment_text = st.text(
-    alphabet=st.characters(
-        codec="ascii", categories=("Lu", "Ll", "Nd"), include_characters=" ",
-    ),
-    max_size=40,
-)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    rows=st.lists(
-        st.fixed_dictionaries(
-            {
-                "r_regionkey": st.integers(min_value=0, max_value=10_000),
-                "r_name": comment_text.filter(lambda s: "|" not in s),
-                "r_comment": comment_text.filter(lambda s: "|" not in s),
-            }
-        ),
-        max_size=30,
-    )
-)
-def test_tbl_round_trip_property(rows, tmp_path_factory):
-    directory = str(tmp_path_factory.mktemp("tblprop"))
-    write_tbl({"region": rows}, directory)
-    back = read_tbl(directory, ["region"]).get("region", [])
-    assert back == rows
 
 
 @settings(max_examples=10, deadline=None)
