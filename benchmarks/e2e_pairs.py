@@ -9,10 +9,17 @@ Each pair runs ``e2ebench/run.py --trace 0`` once on the base revision and
 once on the working tree, with its own seed (``--first-seed``, then one more
 per pair); the side that runs first alternates from pair to pair.  The base
 revision is checked out with ``git worktree add --detach`` into a temporary
-directory that is removed on exit.  For every end-to-end metric in
-``BENCHMARK.json`` the script prints each pair's values, each side's median
-and quartiles, and the number of pairs the working tree wins (is better on,
-in the metric's direction).
+directory that is removed on exit, also when the script is stopped by
+SIGTERM or SIGINT (the running benchmark child is killed first).  For every
+end-to-end metric in ``BENCHMARK.json`` the script prints each pair's
+values, each side's median and quartiles, the number of pairs the working
+tree wins (is better on, in the metric's direction) and a verdict:
+
+- ``gain``: the working tree wins at least 9 in 10 of the pairs, and its
+  median is better than the base's by more than the base's quartile spread;
+- ``worse``: the working tree's median is worse than the base's by more
+  than the metric's bound (a fraction of the base median);
+- ``unresolved``: neither.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -47,6 +55,20 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
+def verdict(better: str, bound: float, base: list, change: list) -> str:
+    """``gain``, ``worse`` or ``unresolved`` for one metric's aligned
+    per-pair values (see the module docstring)."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
+    q1, base_median, q3 = quartiles(base)
+    improvement = sign * (base_median - quartiles(change)[1])
+    if wins * 10 >= 9 * len(base) and improvement > q3 - q1:
+        return "gain"
+    if -improvement > bound * abs(base_median):
+        return "worse"
+    return "unresolved"
+
+
 def report(metrics: list, pairs: list) -> None:
     for pair in pairs:
         for side in ("base", "change"):
@@ -72,6 +94,14 @@ def report(metrics: list, pairs: list) -> None:
             print(f"  {side:>6} median {median:.6g} (quartiles {q1:.6g}-{q3:.6g}, "
                   f"IQR {q3 - q1:.3g})")
         print(f"  change wins {wins} of {len(pairs)} pairs")
+        print(f"  verdict: {verdict(better, spec['bound'], base_values, change_values)}")
+
+
+def _exit_on_signal(signum: int, _frame) -> None:
+    """Stop on SIGTERM or SIGINT by raising :class:`SystemExit`:
+    ``subprocess.run`` then kills the running child, and ``main``'s
+    ``finally`` removes the base worktree and the temporary directory."""
+    raise SystemExit(128 + signum)
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -88,6 +118,8 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error("--seconds must be positive")
     metrics = json.loads((ROOT_DIR / "BENCHMARK.json").read_text())["end_to_end"]
 
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _exit_on_signal)
     scratch = Path(tempfile.mkdtemp(prefix="e2e-pairs-"))
     base_tree = scratch / "base"
     try:
@@ -105,6 +137,9 @@ def main(argv: "list[str] | None" = None) -> int:
                       file=sys.stderr, flush=True)
             pairs.append(pair)
     finally:
+        # A second signal must not cut the clean-up short.
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, signal.SIG_IGN)
         subprocess.run(["git", "-C", str(ROOT_DIR), "worktree", "remove", "--force",
                         str(base_tree)], check=False)
         shutil.rmtree(scratch, ignore_errors=True)

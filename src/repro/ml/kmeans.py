@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.services.hashsvc import VirtualHashBuffer
+from repro.services.hashsvc import ENTRY_OVERHEAD, VirtualHashBuffer
 from repro.services.sequential import SequentialWriter, make_shard_iterators
 from repro.sim.devices import MB
 
@@ -39,6 +39,40 @@ POINT_WITH_NORM_BYTES = 128
 NORM_SECONDS_PER_POINT = 3.2e-6
 #: Per-point CPU time for one assignment against k=10 centroids.
 ASSIGN_SECONDS_PER_POINT = 800e-9
+#: Page size of each iteration's per-node aggregation set.
+AGG_PAGE_BYTES = 4 * MB
+
+
+def assign_batch_pairs(nbytes: int) -> int:
+    """Staged assignments, of ``nbytes`` each, that fill one aggregation
+    hash page.  k-means hands a shard's staged assignments to the hash
+    service once at least this many are staged, and at the shard's end."""
+    return AGG_PAGE_BYTES // (nbytes + ENTRY_OVERHEAD)
+
+
+def _assign(
+    buffer: VirtualHashBuffer,
+    batch: tuple,
+    centroid_norms: np.ndarray,
+    represent: float,
+    nbytes: int,
+) -> None:
+    """Assign one staged batch and add it to ``buffer`` with one call.
+
+    ``batch`` is three aligned lists, emptied here: each point's squared
+    norm, its dot product with every doubled centroid, and the point.  The
+    score ``||p||^2 - 2 p.c + ||c||^2`` (the norms trick) and the scaling
+    are elementwise, in the same order as point by point, and ``argmin``
+    takes the first minimum, so keys and sums are bit-identical to
+    assigning one point at a time.
+    """
+    norms, dots, points = batch
+    scores = np.array(norms)[:, None] - np.array(dots) + centroid_norms
+    keys = scores.argmin(axis=1).tolist()
+    scaled = np.array(points) * represent
+    buffer.insert_many(keys, [(row, represent) for row in scaled], nbytes=nbytes)
+    for column in batch:
+        column.clear()
 
 
 def generate_points(
@@ -123,17 +157,26 @@ class PangeaKMeans:
         iterations: int = 5,
     ) -> KMeansResult:
         start = self.cluster.barrier()
-        norms_set, centroids = self._initialize(input_set, represent)
-        after_init = self.cluster.barrier()
-        iteration_seconds = []
-        for _ in range(iterations):
-            iter_start = self.cluster.barrier()
-            centroids = self._iterate(norms_set, centroids, represent)
-            iteration_seconds.append(self.cluster.barrier() - iter_start)
-        # The norms set is transient job data: end its lifetime and drop it
-        # so re-running on the same input starts clean.
-        norms_set.end_lifetime()
-        self.cluster.drop_set(norms_set.name)
+        norms_set = self.cluster.create_set(
+            f"{input_set.name}_norms",
+            durability="write-back",
+            page_size=self.page_size,
+            object_bytes=max(1, int(POINT_WITH_NORM_BYTES * represent)),
+        )
+        try:
+            centroids = self._initialize(input_set, norms_set, represent)
+            after_init = self.cluster.barrier()
+            iteration_seconds = []
+            for _ in range(iterations):
+                iter_start = self.cluster.barrier()
+                centroids = self._iterate(norms_set, centroids, represent)
+                iteration_seconds.append(self.cluster.barrier() - iter_start)
+        finally:
+            # The norms set is transient job data: end its lifetime and
+            # drop it, also when the run fails, so re-running on the same
+            # input starts clean.
+            norms_set.end_lifetime()
+            self.cluster.drop_set(norms_set.name)
         return KMeansResult(
             centroids=centroids,
             init_seconds=after_init - start,
@@ -142,14 +185,8 @@ class PangeaKMeans:
             policy=self.cluster.nodes[0].paging.policy.name,
         )
 
-    def _initialize(self, input_set, represent: float):
-        """Compute norms into a write-back set and sample initial centroids."""
-        norms_set = self.cluster.create_set(
-            f"{input_set.name}_norms",
-            durability="write-back",
-            page_size=self.page_size,
-            object_bytes=max(1, int(POINT_WITH_NORM_BYTES * represent)),
-        )
+    def _initialize(self, input_set, norms_set, represent: float) -> np.ndarray:
+        """Compute norms into ``norms_set`` and sample initial centroids."""
         sample: list = []
         for node_id in sorted(input_set.shards):
             shard = input_set.shards[node_id]
@@ -177,7 +214,7 @@ class PangeaKMeans:
                 f"need at least k={self.k} points to seed centroids, "
                 f"got {len(sample)}"
             )
-        return norms_set, np.stack(sample[: self.k])
+        return np.stack(sample[: self.k])
 
     def _iterate(self, norms_set, centroids: np.ndarray, represent: float) -> np.ndarray:
         # Broadcast the centroids (tiny, but it crosses the network).
@@ -198,34 +235,17 @@ class PangeaKMeans:
             temp = self.cluster.create_set(
                 f"{agg_name}_n{node_id}",
                 durability="write-back",
-                page_size=4 * MB,
+                page_size=AGG_PAGE_BYTES,
                 nodes=[node_id],
                 object_bytes=nbytes,
             )
-            buffer = VirtualHashBuffer(
-                temp,
-                num_root_partitions=2,
-                combiner=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-            )
-            for iterator in make_shard_iterators(shard, 1):
-                for page in iterator:
-                    logical = page.num_objects * represent
-                    shard.node.cpu.compute(
-                        logical * ASSIGN_SECONDS_PER_POINT, workers=self.workers
-                    )
-                    # One hash call per page, in point order.
-                    keys = []
-                    values = []
-                    for point, norm in page.records:
-                        # ||p - c||^2 = ||p||^2 - 2 p.c + ||c||^2 (norms trick);
-                        # .dot is the same dgemv as @ without the ufunc dispatch.
-                        keys.append(int((norm - two_c.dot(point) + centroid_norms).argmin()))
-                        values.append((point * represent, represent))
-                    buffer.insert_many(keys, values, nbytes=nbytes)
-            partials.append(dict(buffer.items()))
-            buffer.release()
-            temp.end_lifetime()
-            self.cluster.drop_set(temp.name)
+            try:
+                partials.append(self._aggregate_shard(
+                    shard, temp, two_c, centroid_norms, represent, nbytes
+                ))
+            finally:
+                temp.end_lifetime()
+                self.cluster.drop_set(temp.name)
             self._track_peak()
         self.cluster.barrier()
 
@@ -244,6 +264,47 @@ class PangeaKMeans:
         new_centroids[nonzero] = sums[nonzero] / counts[nonzero, None]
         self.cluster.barrier()
         return new_centroids
+
+    def _aggregate_shard(
+        self, shard, temp, two_c: np.ndarray, centroid_norms: np.ndarray,
+        represent: float, nbytes: int,
+    ) -> dict:
+        """Assign one shard's points and sum them per cluster in ``temp``.
+
+        While a page is pinned, each point's norm, its gemv against the
+        doubled centroids and the point itself (the page's own array, not
+        a copy) are staged; whole batches are scored and inserted, in
+        point order, once at least :func:`assign_batch_pairs` are staged
+        and at the shard's end.
+        """
+        buffer = VirtualHashBuffer(
+            temp,
+            num_root_partitions=2,
+            combiner=lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        )
+        batch_pairs = assign_batch_pairs(nbytes)
+        batch: tuple = ([], [], [])
+        norms, dots, points = batch
+        try:
+            for iterator in make_shard_iterators(shard, 1):
+                for page in iterator:
+                    logical = page.num_objects * represent
+                    shard.node.cpu.compute(
+                        logical * ASSIGN_SECONDS_PER_POINT, workers=self.workers
+                    )
+                    for point, norm in page.records:
+                        norms.append(norm)
+                        # .dot is the same dgemv as @ without the ufunc dispatch.
+                        dots.append(two_c.dot(point))
+                        points.append(point)
+                    if len(points) >= batch_pairs:
+                        _assign(buffer, batch, centroid_norms, represent, nbytes)
+            if points:
+                _assign(buffer, batch, centroid_norms, represent, nbytes)
+            return dict(buffer.items())
+        finally:
+            # Unpin the hash pages, also when the assignment fails.
+            buffer.release()
 
     def _track_peak(self) -> None:
         used = self.cluster.total_pool_bytes_used()

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import MachineProfile, PangeaCluster
+from repro.ml import kmeans
 from repro.ml.kmeans import PangeaKMeans, generate_points
+from repro.services.hashsvc import VirtualHashBuffer
 from repro.sim.devices import GB, MB
 
 
@@ -125,3 +127,111 @@ class TestPagingGolden:
         assert [n.pool.stats.pageins for n in nodes] == self.PAGEINS
         assert [n.pool.stats.evictions for n in nodes] == self.EVICTIONS
         assert [n.paging.stats.eviction_rounds for n in nodes] == self.EVICTION_ROUNDS
+
+
+def footprint(cluster) -> tuple:
+    """Registered sets, pinned pages and per-node pool bytes."""
+    pinned = sum(
+        1 for node in cluster.nodes for page in node.pool.resident_pages() if page.pinned
+    )
+    return (
+        cluster.manager.set_names(),
+        pinned,
+        [node.pool.used_bytes for node in cluster.nodes],
+    )
+
+
+class TestFailedRunCleansUp:
+    """A run that raises drops its norms and aggregation sets and unpins
+    every hash page, so the next run on the same input starts clean."""
+
+    def make(self, num_points=40):
+        cluster = PangeaCluster(
+            num_nodes=2, profile=MachineProfile.tiny(pool_bytes=64 * MB)
+        )
+        km = PangeaKMeans(cluster, k=5, dims=10, page_size=1 * MB)
+        data = km.load_points(generate_points(num_points), represent=1.0)
+        return cluster, km, data
+
+    def test_too_large_k_then_retry(self):
+        cluster, km, data = self.make(num_points=10)
+        before = footprint(cluster)
+        assert before[0] == ["points"]
+        km.k = 50
+        with pytest.raises(ValueError, match="need at least k=50"):
+            km.run(data, represent=1.0)
+        assert footprint(cluster) == before
+        km.k = 5
+        result = km.run(data, represent=1.0, iterations=2)
+        assert result.centroids.shape == (5, 10)
+        assert footprint(cluster) == before
+
+    def test_failing_hash_insert(self, monkeypatch):
+        cluster, km, data = self.make()
+        before = footprint(cluster)
+        insert_many = VirtualHashBuffer.insert_many
+        calls = []
+
+        def fail_second(self, keys, values, nbytes=None):
+            calls.append(len(keys))
+            if len(calls) == 2:
+                raise RuntimeError("insert failed")
+            insert_many(self, keys, values, nbytes=nbytes)
+
+        monkeypatch.setattr(VirtualHashBuffer, "insert_many", fail_second)
+        with pytest.raises(RuntimeError, match="insert failed"):
+            km.run(data, represent=1.0, iterations=2)
+        assert footprint(cluster) == before
+        monkeypatch.setattr(VirtualHashBuffer, "insert_many", insert_many)
+        km.run(data, represent=1.0, iterations=2)
+        assert footprint(cluster) == before
+
+
+class TestAssignBatchBound:
+    """The batch bound moves wall time only: one call per page (bound 1),
+    every two pages (bound 3, two points per page) and once per shard (the
+    default) leave centroids, clocks, hash and paging counters unchanged."""
+
+    def run_with_bound(self, monkeypatch, bound):
+        if bound is not None:
+            monkeypatch.setattr(kmeans, "assign_batch_pairs", lambda nbytes: bound)
+        insert_many = VirtualHashBuffer.insert_many
+        calls = []
+
+        def recording(self, keys, values, nbytes=None):
+            calls.append((self, len(keys)))
+            insert_many(self, keys, values, nbytes=nbytes)
+
+        monkeypatch.setattr(VirtualHashBuffer, "insert_many", recording)
+        # The TestPagingGolden cluster: the working set is 2.5x the pool.
+        cluster = PangeaCluster(
+            num_nodes=2,
+            profile=MachineProfile.r4_2xlarge(pool_bytes=20 * GB),
+            policy="data-aware",
+        )
+        km = PangeaKMeans(cluster, k=5, dims=10, workers=8)
+        data = km.load_points(generate_points(400, num_clusters=5, seed=3), represent=1_000_000)
+        result = km.run(data, represent=1_000_000, iterations=2)
+        monkeypatch.undo()
+        buffers = list(dict.fromkeys(buffer for buffer, _ in calls))
+        observed = {
+            "centroids": result.centroids.tobytes(),
+            "ticks": [n.clock.ticks for n in cluster.nodes],
+            "hash": [(b.stats.inserts, b.stats.combines) for b in buffers],
+            "pageins": [n.pool.stats.pageins for n in cluster.nodes],
+            "evictions": [n.pool.stats.evictions for n in cluster.nodes],
+        }
+        return observed, [size for _, size in calls], len(buffers)
+
+    def test_bound_moves_no_simulated_result(self, monkeypatch):
+        default, default_sizes, buffers = self.run_with_bound(monkeypatch, None)
+        per_page, per_page_sizes, _ = self.run_with_bound(monkeypatch, 1)
+        two_pages, two_page_sizes, _ = self.run_with_bound(monkeypatch, 3)
+        assert per_page == default
+        assert two_pages == default
+        assert default["pageins"][0] > 0 and default["evictions"][0] > 0
+        # 2 nodes x 2 iterations, 200 points per shard, 2 points per page.
+        assert buffers == 4
+        assert default_sizes == [200] * 4
+        assert per_page_sizes == [2] * 400
+        assert two_page_sizes == [4] * 200
