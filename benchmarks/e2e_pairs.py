@@ -7,10 +7,14 @@ Run from the repository root::
 
 Each pair runs ``e2ebench/run.py --trace 0`` once on the base revision and
 once on the working tree, with its own seed (``--first-seed``, then one more
-per pair); the side that runs first alternates from pair to pair.  The base
-revision is checked out with ``git worktree add --detach`` into a temporary
-directory that is removed on exit, also when the script is stopped by
-SIGTERM or SIGINT (the running benchmark child is killed first).  For every
+per pair); the side that runs first alternates from pair to pair.  Both
+sides run from plain sibling directories of one temporary directory, so
+neither inherits the other's location, git metadata or compiled-bytecode
+caches: the base revision's files are extracted there with ``git
+archive``, and the working tree's tracked and untracked, non-ignored files
+are copied next to them.  The directory is removed on exit, also when the
+script is stopped by SIGTERM or SIGINT (the running benchmark child is
+killed first).  For every
 end-to-end metric in ``BENCHMARK.json`` the script prints each pair's
 values, each side's median and quartiles, the number of pairs the working
 tree wins (is better on, in the metric's direction) and a verdict:
@@ -45,6 +49,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         sys.exit(f"{' '.join(cmd)} failed in {tree}:\n{proc.stdout}{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def export_revision(revision: str, dest: Path) -> None:
+    """Extract the files of ``revision`` into ``dest`` with ``git archive``."""
+    archive = subprocess.run(["git", "-C", str(ROOT_DIR), "archive", revision],
+                             check=True, capture_output=True).stdout
+    dest.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def copy_working_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, non-ignored files
+    (as they are on disk, uncommitted edits included) into ``dest``."""
+    listing = subprocess.run(
+        ["git", "-C", str(ROOT_DIR), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        check=True, capture_output=True,
+    ).stdout.decode()
+    for name in filter(None, listing.split("\0")):
+        source = ROOT_DIR / name
+        if not source.exists() and not source.is_symlink():
+            continue  # tracked but deleted in the working tree
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
 
 
 def quartiles(values: list) -> tuple:
@@ -100,7 +129,7 @@ def report(metrics: list, pairs: list) -> None:
 def _exit_on_signal(signum: int, _frame) -> None:
     """Stop on SIGTERM or SIGINT by raising :class:`SystemExit`:
     ``subprocess.run`` then kills the running child, and ``main``'s
-    ``finally`` removes the base worktree and the temporary directory."""
+    ``finally`` removes the temporary directory with both sides' files."""
     raise SystemExit(128 + signum)
 
 
@@ -121,17 +150,18 @@ def main(argv: "list[str] | None" = None) -> int:
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, _exit_on_signal)
     scratch = Path(tempfile.mkdtemp(prefix="e2e-pairs-"))
-    base_tree = scratch / "base"
+    # Same-length names: both sides' paths are equally long.
+    base_tree, change_tree = scratch / "base", scratch / "work"
     try:
-        subprocess.run(["git", "-C", str(ROOT_DIR), "worktree", "add", "--detach",
-                        str(base_tree), args.base], check=True)
+        export_revision(args.base, base_tree)
+        copy_working_tree(change_tree)
         pairs = []
         for index in range(args.pairs):
             seed = args.first_seed + index
             order = ("base", "change") if index % 2 == 0 else ("change", "base")
             pair = {"index": index + 1, "seed": seed, "first": order[0]}
             for side in order:
-                tree = base_tree if side == "base" else ROOT_DIR
+                tree = base_tree if side == "base" else change_tree
                 pair[side] = run_once(tree, args.workload, seed, args.seconds)
                 print(f"pair {index + 1}/{args.pairs} seed {seed}: {side} done",
                       file=sys.stderr, flush=True)
@@ -140,8 +170,6 @@ def main(argv: "list[str] | None" = None) -> int:
         # A second signal must not cut the clean-up short.
         for signum in (signal.SIGTERM, signal.SIGINT):
             signal.signal(signum, signal.SIG_IGN)
-        subprocess.run(["git", "-C", str(ROOT_DIR), "worktree", "remove", "--force",
-                        str(base_tree)], check=False)
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"{args.workload}: base {args.base} vs working tree, {args.pairs} pairs of "
           f"{args.seconds:g} s runs, seeds {args.first_seed}-{args.first_seed + args.pairs - 1}")

@@ -38,6 +38,15 @@ def rebuild_array(dtype: str, shape: tuple, data: bytes) -> np.ndarray:
     return np.frombuffer(data, dtype).reshape(shape)
 
 
+#: ``id(dtype)`` -> ``(dtype, dtype.str as ASCII bytes)`` for each builtin,
+#: object-free dtype :func:`_reduce_array` has encoded.  Keyed by identity,
+#: not by the dtype: a dtype with metadata compares and hashes equal to its
+#: builtin twin but must keep numpy's reduce.  Holding the dtype keeps its
+#: id from being reused.  Numpy reports ``isbuiltin == 1`` only for its own
+#: per-type descriptor objects, so this holds one entry per builtin type.
+_DTYPE_CODES: dict = {}
+
+
 def _reduce_array(array: np.ndarray):
     """Encode a plain ndarray as its dtype string, shape and C-order bytes.
 
@@ -46,9 +55,15 @@ def _reduce_array(array: np.ndarray):
     own reduce, which is exact for them too.
     """
     dtype = array.dtype
-    if dtype.hasobject or dtype.isbuiltin != 1:
-        return array.__reduce_ex__(5)
-    return rebuild_array, (dtype.str, array.shape, array.tobytes())
+    entry = _DTYPE_CODES.get(id(dtype))
+    if entry is None:
+        if dtype.hasobject or dtype.isbuiltin != 1:
+            return array.__reduce_ex__(5)
+        entry = _DTYPE_CODES[id(dtype)] = (dtype, dtype.str.encode("ascii"))
+    # A fresh string per array, as ``dtype.str`` gives: the pickler memoizes
+    # by identity, so a shared one would turn repeats into memo references
+    # and change the encoding.
+    return rebuild_array, (entry[1].decode("ascii"), array.shape, array.tobytes())
 
 
 class _ImagePickler(pickle.Pickler):

@@ -17,6 +17,11 @@ KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
 
+#: Entries a device's fixed-charge tick cache holds at most.  The paper
+#: workloads charge a handful of distinct shapes per device; a caller
+#: with a new shape on every call just stops filling a full cache.
+CHARGE_CACHE_ENTRIES = 256
+
 
 @dataclass
 class DiskStats:
@@ -90,6 +95,14 @@ class DiskArray:
     large sequential transfers (Figs. 7-9, Tab. 3); striping across ``n``
     disks multiplies effective bandwidth by ``n`` while latency stays
     per-operation.
+
+    A transfer's striped chunks, per-disk operation count and clock ticks
+    depend only on ``(nbytes, num_ios, write)`` and the disks' cost
+    fields, so they are computed once per key and then read back: the
+    cached ticks are the very ``to_ticks`` value the formula gives, and a
+    fault hook's extra seconds are charged as ``to_ticks(seconds +
+    extra)`` from the formula.  The disks and their cost fields are fixed
+    once the array has charged a transfer.
     """
 
     def __init__(self, disks: list[DiskDevice]) -> None:
@@ -104,6 +117,8 @@ class DiskArray:
         #: Optional :class:`~repro.obs.tracer.NodeTracer`; installed by
         #: :meth:`repro.cluster.node.WorkerNode.attach_tracer`.
         self.tracer = None
+        #: (nbytes, num_ios, write) -> (chunks, per-disk I/Os, ticks).
+        self._transfer_costs: dict = {}
 
     @property
     def num_disks(self) -> int:
@@ -178,8 +193,15 @@ class DiskArray:
         extra = 0.0
         if self.fault_hook is not None:
             extra = self.fault_hook(point, nbytes)
-        ios = max(1, num_ios // len(self.disks))
-        chunks = self.striped_chunks(nbytes)
+        key = (nbytes, num_ios, write)
+        costs = self._transfer_costs.get(key)
+        if costs is None:
+            chunks = tuple(self.striped_chunks(nbytes))
+            costs = (chunks, max(1, num_ios // len(self.disks)),
+                     to_ticks(self._chunk_seconds(chunks, num_ios, write)))
+            if len(self._transfer_costs) < CHARGE_CACHE_ENTRIES:
+                self._transfer_costs[key] = costs
+        chunks, ios, ticks = costs
         for disk, chunk in zip(self.disks, chunks):
             if write:
                 disk.stats.bytes_written += chunk
@@ -189,9 +211,12 @@ class DiskArray:
                 disk.stats.num_reads += ios
         tracer = self.tracer
         start = tracer.now if tracer is not None else 0.0
-        cost = charge(
-            self.disks[0].clock, self._chunk_seconds(chunks, num_ios, write) + extra
-        )
+        if extra:
+            ticks = to_ticks(self._chunk_seconds(chunks, num_ios, write) + extra)
+        clock = self.disks[0].clock
+        if clock is not None:
+            clock.advance_ticks(ticks)
+        cost = ticks / TICKS_PER_SECOND
         if tracer is not None:
             tracer.span(span, "disk", start, cost,
                         nbytes=nbytes, **args, num_ios=num_ios)
@@ -222,6 +247,14 @@ class CpuProfile:
     costs the per-object ticks plus the ``memcpy(nbytes)`` ticks, and
     :meth:`records` charges ``count`` times that integer, so a charge for
     ``n`` records equals ``n`` one-record charges in any order or grouping.
+
+    Both tick counts are cached: :meth:`record_ticks` per ``(nbytes,
+    workers, factor)`` and :meth:`parallel` (and through it
+    :meth:`compute`, :meth:`memcpy`, :meth:`serialize` and
+    :meth:`deserialize`) per ``(seconds, workers)``.  Each entry is the
+    ``to_ticks`` value the formula gives for its key, so a cached charge
+    is exactly the uncached one.  The cost fields are fixed once a profile
+    has charged anything.
     """
 
     cores: int = 8
@@ -232,16 +265,30 @@ class CpuProfile:
     clock: SimClock | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        #: (nbytes, workers, factor) -> ticks of one record; the cost
-        #: fields are fixed once a profile has charged anything.
+        #: (nbytes, workers, factor) -> ticks of one record.
         self._record_ticks: dict = {}
+        #: (seconds, workers) -> ticks of one :meth:`parallel` charge.
+        self._parallel_ticks: dict = {}
 
     def parallel(self, seconds: float, workers: int = 1) -> float:
-        """Charge CPU work shared by ``workers`` threads (capped at cores)."""
-        if seconds < 0:
-            raise ValueError("cannot charge negative CPU time")
-        effective = max(1, min(workers, self.cores))
-        return charge(self.clock, seconds / effective)
+        """Charge CPU work shared by ``workers`` threads (capped at cores).
+
+        Only ``float`` seconds are cached: a numpy scalar of another
+        precision compares equal to a float yet divides differently.
+        """
+        cached = type(seconds) is float
+        key = (seconds, workers)
+        ticks = self._parallel_ticks.get(key) if cached else None
+        if ticks is None:
+            if seconds < 0:
+                raise ValueError("cannot charge negative CPU time")
+            effective = max(1, min(workers, self.cores))
+            ticks = to_ticks(seconds / effective)
+            if cached and len(self._parallel_ticks) < CHARGE_CACHE_ENTRIES:
+                self._parallel_ticks[key] = ticks
+        if self.clock is not None:
+            self.clock.advance_ticks(ticks)
+        return ticks / TICKS_PER_SECOND
 
     def memcpy(self, nbytes: int, workers: int = 1) -> float:
         return self.parallel(nbytes / self.memcpy_bandwidth, workers)
@@ -261,9 +308,11 @@ class CpuProfile:
             if nbytes < 0 or factor < 0:
                 raise ValueError("cannot charge negative CPU time")
             effective = max(1, min(workers, self.cores))
-            ticks = self._record_ticks[key] = to_ticks(
+            ticks = to_ticks(
                 self.per_object_overhead * factor / effective
             ) + to_ticks(nbytes / self.memcpy_bandwidth / effective)
+            if len(self._record_ticks) < CHARGE_CACHE_ENTRIES:
+                self._record_ticks[key] = ticks
         return ticks
 
     def records(

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.clock import SimClock, charge
-from repro.sim.devices import GB
+from repro.sim.clock import TICKS_PER_SECOND, SimClock, charge, to_ticks
+from repro.sim.devices import CHARGE_CACHE_ENTRIES, GB
 from repro.sim.faults import RetryPolicy, TransientNetworkError
 
 
@@ -32,6 +32,13 @@ class NetworkLink:
     to an effective 1.0 GB/s with a per-message latency.  Shuffle and
     broadcast services charge transfers here; the data proxy's metadata
     messages (paper Sec. 5) charge only the latency term.
+
+    :meth:`message` takes its ticks from a cache keyed by the message
+    count, filled with the ``to_ticks(num_messages * latency)`` value the
+    formula gives, so a cached charge is exactly the uncached one; a
+    fault hook's extra seconds are charged as ``to_ticks(num_messages *
+    latency + extra)``.  ``latency`` is fixed once the link has charged a
+    message.
     """
 
     def __init__(
@@ -60,6 +67,8 @@ class NetworkLink:
         #: Optional :class:`~repro.obs.tracer.NodeTracer`; installed by
         #: :meth:`repro.cluster.node.WorkerNode.attach_tracer`.
         self.tracer = None
+        #: num_messages -> ticks of one :meth:`message` charge.
+        self._message_ticks: dict = {}
 
     def _fire_with_retries(self, point: str, nbytes: int) -> float:
         """Fire the fault hook, retrying dropped sends with backoff."""
@@ -117,12 +126,28 @@ class NetworkLink:
         return cost
 
     def message(self, num_messages: int = 1) -> float:
-        """Charge control-plane messages (page pin/unpin metadata etc.)."""
+        """Charge control-plane messages (page pin/unpin metadata etc.).
+
+        A negative count is rejected before the fault hook fires or any
+        counter moves.
+        """
+        if num_messages < 0:
+            raise ValueError("cannot send a negative number of messages")
         extra = self._fire_with_retries("net.message", 0)
         self.stats.num_messages += num_messages
         tracer = self.tracer
         start = tracer.now if tracer is not None else 0.0
-        cost = charge(self.clock, num_messages * self.latency + extra)
+        if extra:
+            ticks = to_ticks(num_messages * self.latency + extra)
+        else:
+            ticks = self._message_ticks.get(num_messages)
+            if ticks is None:
+                ticks = to_ticks(num_messages * self.latency)
+                if len(self._message_ticks) < CHARGE_CACHE_ENTRIES:
+                    self._message_ticks[num_messages] = ticks
+        if self.clock is not None:
+            self.clock.advance_ticks(ticks)
+        cost = ticks / TICKS_PER_SECOND
         if tracer is not None:
             tracer.span("net.message", "network", start, cost,
                         num_messages=num_messages)

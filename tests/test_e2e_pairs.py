@@ -1,6 +1,7 @@
 """The verdict rule of ``benchmarks/e2e_pairs.py`` on fixed pair lists."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,45 @@ class TestVerdict:
         assert verdict("lower", 0.1, [10.0], [9.0]) == "gain"
         assert verdict("lower", 0.1, [10.0], [10.5]) == "unresolved"
         assert verdict("lower", 0.1, [10.0], [11.5]) == "worse"
+
+
+
+def files_under(root: Path) -> list:
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*") if path.is_file())
+
+
+class TestSideTrees:
+    """Both sides of a pair run from plain directories: the base
+    revision's files and a copy of the working tree."""
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        repo = tmp_path / "repo"
+        (repo / "pkg").mkdir(parents=True)
+        (repo / ".gitignore").write_text("*.log\n")
+        (repo / "pkg" / "kept.py").write_text("committed\n")
+        (repo / "gone.py").write_text("deleted after commit\n")
+        git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+        subprocess.run(git[:3] + ["init", "-q"], check=True)
+        subprocess.run(git + ["add", "-A"], check=True)
+        subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
+        (repo / "pkg" / "kept.py").write_text("edited\n")
+        (repo / "gone.py").unlink()
+        (repo / "new.py").write_text("untracked\n")
+        (repo / "run.log").write_text("ignored\n")
+        monkeypatch.setattr(e2e_pairs, "ROOT_DIR", repo)
+        return repo
+
+    def test_working_tree_copy_has_tracked_and_untracked_not_ignored_files(
+        self, repo, tmp_path
+    ):
+        dest = tmp_path / "work"
+        e2e_pairs.copy_working_tree(dest)
+        assert files_under(dest) == [".gitignore", "new.py", "pkg/kept.py"]
+        assert (dest / "pkg" / "kept.py").read_text() == "edited\n"
+
+    def test_base_export_has_the_committed_files_only(self, repo, tmp_path):
+        dest = tmp_path / "base"
+        e2e_pairs.export_revision("HEAD", dest)
+        assert files_under(dest) == [".gitignore", "gone.py", "pkg/kept.py"]
+        assert (dest / "pkg" / "kept.py").read_text() == "committed\n"
