@@ -8,15 +8,18 @@ Run from the repository root::
 Each pair runs ``e2ebench/run.py --trace 0`` once on the base revision and
 once on the working tree, with its own seed (``--first-seed``, then one more
 per pair); the side that runs first alternates from pair to pair.  Both
-sides run from plain sibling directories of one temporary directory, so
-neither inherits the other's location, git metadata or compiled-bytecode
-caches: the base revision's files are extracted there with ``git
-archive``, and the working tree's tracked and untracked, non-ignored files
-are copied next to them.  The directory is removed on exit, also when the
-script is stopped by SIGTERM or SIGINT (the running benchmark child is
-killed first).  For every
-end-to-end metric in ``BENCHMARK.json`` the script prints each pair's
-values, each side's median and quartiles, the number of pairs the working
+sides run from plain sibling directories ``a`` and ``b`` of one temporary
+directory, so neither inherits the other's location, git metadata or
+compiled-bytecode caches: the base revision's files are extracted there
+with ``git archive``, and the working tree's tracked and untracked,
+non-ignored files are copied next to them.  The two directories swap
+names every two pairs, so over each four pairs every side runs from each
+name once first and once second, and an effect of the path alone cannot
+read as a change.  The temporary directory is removed on exit, also when
+the script is stopped by SIGTERM or SIGINT (the running benchmark child
+is killed first).  For every end-to-end metric in ``BENCHMARK.json`` the
+script prints each pair's values and the directory the working tree ran
+from, each side's median and quartiles, the number of pairs the working
 tree wins (is better on, in the metric's direction) and a verdict:
 
 - ``gain``: the working tree wins at least 9 in 10 of the pairs, and its
@@ -76,6 +79,23 @@ def copy_working_tree(dest: Path) -> None:
         shutil.copy2(source, target, follow_symlinks=False)
 
 
+def pair_plan(index: int) -> list:
+    """``(side, directory name)`` in run order for the 0-based pair ``index``:
+    the first side alternates every pair, the names swap every two pairs."""
+    base, change = ("a", "b") if index // 2 % 2 == 0 else ("b", "a")
+    names = {"base": base, "change": change}
+    order = ("base", "change") if index % 2 == 0 else ("change", "base")
+    return [(side, names[side]) for side in order]
+
+
+def swap_names(first: Path, second: Path) -> None:
+    """Swap the names of two sibling directories."""
+    held = first.with_name(first.name + ".held")
+    first.rename(held)
+    second.rename(first)
+    held.rename(second)
+
+
 def quartiles(values: list) -> tuple:
     """(first quartile, median, third quartile)."""
     if len(values) == 1:
@@ -107,7 +127,8 @@ def report(metrics: list, pairs: list) -> None:
     for spec in metrics:
         name, better = spec["name"], spec["better"]
         print(f"\n{name} ({spec['unit']}, {better} is better)")
-        print(f"  {'pair':>4} {'seed':>5} {'first':>6} {'base':>14} {'change':>14} {'delta':>8}")
+        print(f"  {'pair':>4} {'seed':>5} {'first':>6} {'dir':>3} {'base':>14} "
+              f"{'change':>14} {'delta':>8}")
         base_values, change_values, wins = [], [], 0
         for pair in pairs:
             base = pair["base"]["metrics"][name]["value"]
@@ -117,7 +138,7 @@ def report(metrics: list, pairs: list) -> None:
             wins += change < base if better == "lower" else change > base
             delta = (change - base) / base if base else float("nan")
             print(f"  {pair['index']:>4} {pair['seed']:>5} {pair['first']:>6} "
-                  f"{base:>14.6g} {change:>14.6g} {delta:>+8.2%}")
+                  f"{pair['change_dir']:>3} {base:>14.6g} {change:>14.6g} {delta:>+8.2%}")
         for side, values in (("base", base_values), ("change", change_values)):
             q1, median, q3 = quartiles(values)
             print(f"  {side:>6} median {median:.6g} (quartiles {q1:.6g}-{q3:.6g}, "
@@ -150,19 +171,22 @@ def main(argv: "list[str] | None" = None) -> int:
     for signum in (signal.SIGTERM, signal.SIGINT):
         signal.signal(signum, _exit_on_signal)
     scratch = Path(tempfile.mkdtemp(prefix="e2e-pairs-"))
-    # Same-length names: both sides' paths are equally long.
-    base_tree, change_tree = scratch / "base", scratch / "work"
+    base_name = "a"  # the directory now holding the base revision's files
     try:
-        export_revision(args.base, base_tree)
-        copy_working_tree(change_tree)
+        export_revision(args.base, scratch / "a")
+        copy_working_tree(scratch / "b")
         pairs = []
         for index in range(args.pairs):
             seed = args.first_seed + index
-            order = ("base", "change") if index % 2 == 0 else ("change", "base")
-            pair = {"index": index + 1, "seed": seed, "first": order[0]}
-            for side in order:
-                tree = base_tree if side == "base" else change_tree
-                pair[side] = run_once(tree, args.workload, seed, args.seconds)
+            plan = pair_plan(index)
+            names = dict(plan)
+            if names["base"] != base_name:
+                swap_names(scratch / "a", scratch / "b")
+                base_name = names["base"]
+            pair = {"index": index + 1, "seed": seed, "first": plan[0][0],
+                    "change_dir": names["change"]}
+            for side, name in plan:
+                pair[side] = run_once(scratch / name, args.workload, seed, args.seconds)
                 print(f"pair {index + 1}/{args.pairs} seed {seed}: {side} done",
                       file=sys.stderr, flush=True)
             pairs.append(pair)

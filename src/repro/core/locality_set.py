@@ -194,12 +194,10 @@ class LocalShard:
         self.pool.unpin(page)
 
     def stored_records(self, page: Page) -> list:
-        """The page's records, or else its disk image read metadata-side
+        """The page's records, or else its disk image decoded metadata-side
         (no I/O charged; see :meth:`SetFile.peek_records`).  A disk image
-        that fails its checksum reads as empty (:meth:`SetFile.image_intact`)."""
+        that fails its checksum reads as empty."""
         if not page.records and page.on_disk:
-            if not self.file.image_intact(page.page_id):
-                return []
             return self.file.peek_records(page.page_id)
         return page.records
 

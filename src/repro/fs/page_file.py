@@ -4,7 +4,8 @@ Beyond the paper's layout (per-drive physical files, round-robin page
 placement), this layer carries the robustness machinery a production
 storage manager needs:
 
-* every page image stores an end-to-end checksum in its meta-file entry;
+* a page image is the bytes :func:`encode_image` makes of the records at
+  write time, stored with an end-to-end checksum in its meta-file entry;
   :meth:`SetFile.read_page` verifies it and raises
   :class:`~repro.sim.faults.PageCorruptionError` on mismatch;
 * transient disk faults (injected through the
@@ -74,8 +75,19 @@ class _ImagePickler(pickle.Pickler):
 
 
 def encode_image(records: list) -> bytes:
-    """The exact encoding of a page payload that :func:`page_checksum`
-    hashes; ``pickle.loads`` decodes it, plain arrays read-only.
+    """The page image of a payload: the bytes a :class:`SetFile` stores
+    and :func:`page_checksum` hashes; ``pickle.loads`` decodes it.
+
+    One ``pickle`` (protocol 5) pass, exact for every record: a plain
+    numpy array is encoded as its dtype string, shape and raw C-order
+    bytes (so C- and Fortran-order copies and views of equal content
+    encode equal) and decodes as a read-only view of the image; arrays
+    with an object or non-builtin dtype (structured, with metadata,
+    non-native byte order, datetime, string, void) and ndarray subclasses
+    keep numpy's own pickle, as does every other record type.  The bytes
+    are the same in every process for the record types pages hold (dicts,
+    lists, tuples, strings, numbers, arrays), not for a ``set`` record,
+    whose order follows the per-process string hash.
 
     Records must be picklable; an unpicklable payload raises
     :class:`TypeError`.
@@ -88,35 +100,13 @@ def encode_image(records: list) -> bytes:
     return encoded.getvalue()
 
 
-def page_checksum(records: list) -> int:
-    """Order-sensitive 64-bit checksum of a page payload.
+def page_checksum(image: bytes) -> int:
+    """64-bit checksum of a page image (see :func:`encode_image`): its
+    bytes hashed with BLAKE2b cut to 8 bytes.
 
-    The payload is encoded in one pass by :func:`encode_image`, a
-    ``pickle`` (protocol 5) pickler, and the bytes are hashed with BLAKE2b
-    cut to 8 bytes.  The encoding is exact: a plain numpy array
-    contributes its dtype string, shape and raw element bytes in C order
-    (so equal-content C- and Fortran-order arrays, and a view and its
-    copy, checksum equal), and floats their full IEEE-754 bits, so a
-    one-ULP change to any element of any array is caught.  Arrays with an
-    object dtype or a dtype that is not builtin (structured, with
-    metadata, non-native byte order, datetime, string, void) and ndarray
-    subclasses keep numpy's own pickle, as does every other record type.
-    Both steps are deterministic across processes for the record types
-    pages hold (dicts, lists, tuples, strings, numbers, arrays); a ``set``
-    record would not be, since its iteration order follows the
-    per-process string hash.
-
-    The checksum covers the exact objects stored, shared references
-    included, so it must be taken over the same record objects that are
-    later verified.  Records must be picklable; an unpicklable payload
-    raises :class:`TypeError`.
+    Every write and every verify hashes through this function.
     """
-    digest = hashlib.blake2b(encode_image(records), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
-#: Sentinel injected into corrupted payloads; never equal to a user record.
-CORRUPTION_SENTINEL = "__PANGEA_CORRUPTED__"
+    return int.from_bytes(hashlib.blake2b(image, digest_size=8).digest(), "little")
 
 
 @dataclass(frozen=True)
@@ -166,7 +156,7 @@ class SetFile:
         #: gives access to the node's retry policy, robustness counters,
         #: and fault injector.
         self.owner = owner
-        self._payloads: dict[int, list] = {}
+        self._images: dict[int, bytes] = {}
         self._meta: dict[int, PageLocation] = {}
         self._next_disk = 0
         self._disk_heads = [0] * disks.num_disks
@@ -271,11 +261,10 @@ class SetFile:
     # data-file operations (all charge simulated disk time)
     # ------------------------------------------------------------------
 
-    def _store_image(
-        self, page_id: int, records: list, nbytes: int, checksum: int
-    ) -> None:
-        """Place one checksummed page image's extent and record it in the
+    def _store_image(self, page_id: int, image: bytes, nbytes: int) -> None:
+        """Checksum one page image, place its extent and record it in the
         meta file (the write's bookkeeping; the disk charge is the caller's)."""
+        checksum = page_checksum(image)
         existing = self._meta.get(page_id)
         if existing is not None and existing.allocated_bytes >= nbytes:
             location = replace(
@@ -297,7 +286,7 @@ class SetFile:
                 extent_bytes=extent,
             )
         self._meta[page_id] = location
-        self._payloads[page_id] = list(records)
+        self._images[page_id] = image
 
     def _draw_corruptions(self, page_ids: "typing.Iterable[int]") -> None:
         """Let the node's fault injector corrupt the images just written."""
@@ -317,11 +306,12 @@ class SetFile:
         seconds charged.
 
         ``entries`` is a list of ``(page_id, records, nbytes)`` triples.
-        Each image's checksum is computed before the write and stored in
-        the meta file, so corruption of the stored image (injected or
-        modeled) is detected end-to-end on the next read.  Every image is
-        checksummed before any is stored, so a payload that cannot be
-        checksummed raises before the meta file or any extent is touched.
+        Each payload is encoded once by :func:`encode_image`; the file
+        stores those bytes and their checksum in the meta file, so
+        corruption of the stored image (injected or modeled) is detected
+        end-to-end on the next read.  Every payload is encoded before any
+        is stored, so a payload that cannot be encoded raises before the
+        meta file or any extent is touched.
         The images go out as one striped sequential write (one seek) via
         :meth:`DiskArray.write_many <repro.sim.devices.DiskArray.write_many>`;
         for one image that charges exactly what :meth:`DiskArray.write
@@ -330,25 +320,22 @@ class SetFile:
         """
         if not entries:
             return 0.0
-        checksums = [page_checksum(records) for _page_id, records, _nbytes in entries]
-        for (page_id, records, nbytes), checksum in zip(entries, checksums):
-            self._store_image(page_id, records, nbytes, checksum)
+        images = [encode_image(records) for _page_id, records, _nbytes in entries]
+        for (page_id, _records, nbytes), image in zip(entries, images):
+            self._store_image(page_id, image, nbytes)
         sizes = [nbytes for _page_id, _records, nbytes in entries]
         cost = self._with_retries(lambda: self.disks.write_many(sizes))
         self._draw_corruptions(page_id for page_id, _records, _nbytes in entries)
         return cost
 
     def read_page(self, page_id: int) -> tuple[list, float]:
-        """Load and verify one page image; returns (records, seconds).
+        """Load, verify and decode one page image; returns (records, seconds).
 
         Raises :class:`PageCorruptionError` when the stored image fails its
         checksum — the buffer layer's read-repair path catches this and
         restores the page from a surviving replica.
         """
-        if page_id not in self._payloads:
-            raise KeyError(
-                f"set {self.set_name!r} has no on-disk image for page {page_id}"
-            )
+        image = self._image(page_id)
         location = self._meta[page_id]
         cost = self._with_retries(
             lambda: self.disks.read(location.nbytes, num_ios=1)
@@ -363,57 +350,67 @@ class SetFile:
                 f"checksum mismatch for page {page_id} of set "
                 f"{self.set_name!r}{where}: the on-disk image is corrupt"
             )
-        return list(self._payloads[page_id]), cost
+        return pickle.loads(image), cost
 
     def image_intact(self, page_id: int) -> bool:
         """Whether the stored image still matches its meta-file checksum.
 
         A metadata-side check: no I/O is charged and no counter moves.
         """
-        return page_checksum(self._payloads[page_id]) == self._meta[page_id].checksum
+        return page_checksum(self._images[page_id]) == self._meta[page_id].checksum
 
     def peek_records(self, page_id: int) -> list:
-        """Surviving on-disk records of one page, metadata-side.
+        """Records of one on-disk page image, read metadata-side.
 
         This is the public accessor the recovery and safety layers use to
         consult a shard's object index without charging data I/O (the
-        manager already holds this metadata); it performs no checksum
-        verification and never fails — a missing image yields ``[]``.
+        manager already holds this metadata).  It never fails: a missing
+        image, or one that fails its checksum (and so is not decoded),
+        yields ``[]``.
         """
-        return list(self._payloads.get(page_id, []))
+        if page_id not in self._images or not self.image_intact(page_id):
+            return []
+        return pickle.loads(self._images[page_id])
 
     def corrupt_image(self, page_id: int) -> None:
-        """Corrupt the stored image of one page (fault injection only).
+        """Flip one bit of the stored image of one page (fault injection only).
 
-        The meta-file checksum is left at the value of the original
-        payload, so the next :meth:`read_page` detects the damage.
+        The bit's position is the page's meta-file checksum modulo the
+        image's length in bits; the checksum is left as it was, so the next
+        :meth:`read_page` detects the damage.  An image that already fails
+        its checksum is left as it is (a second flip of one bit mends it).
         """
-        payload = self._payloads.get(page_id)
-        if payload is None:
+        image = self._image(page_id)
+        if not self.image_intact(page_id):
+            return
+        bit = self._meta[page_id].checksum % (8 * len(image))
+        flipped = int.from_bytes(image, "little") ^ (1 << bit)
+        self._images[page_id] = flipped.to_bytes(len(image), "little")
+
+    def _image(self, page_id: int) -> bytes:
+        image = self._images.get(page_id)
+        if image is None:
             raise KeyError(
                 f"set {self.set_name!r} has no on-disk image for page {page_id}"
             )
-        if payload:
-            payload[len(payload) // 2] = CORRUPTION_SENTINEL
-        else:
-            payload.append(CORRUPTION_SENTINEL)
+        return image
 
     def contains(self, page_id: int) -> bool:
-        return page_id in self._payloads
+        return page_id in self._images
 
     def location(self, page_id: int) -> PageLocation:
         """Meta-file lookup (no data transfer)."""
         return self._meta[page_id]
 
     def drop_page(self, page_id: int) -> None:
-        self._payloads.pop(page_id, None)
+        self._images.pop(page_id, None)
         location = self._meta.pop(page_id, None)
         if location is not None:
             self._release_extent(location)
 
     def truncate(self) -> None:
         """Remove all page images (set deletion is a metadata operation)."""
-        self._payloads.clear()
+        self._images.clear()
         self._meta.clear()
         self._disk_heads = [0] * self.disks.num_disks
         self._free_extents = [[] for _ in range(self.disks.num_disks)]
@@ -424,7 +421,7 @@ class SetFile:
 
     @property
     def num_pages(self) -> int:
-        return len(self._payloads)
+        return len(self._images)
 
     @property
     def bytes_on_disk(self) -> int:

@@ -44,3 +44,12 @@ def rows_match(got: list, want: list, rel: float = 1e-6, abs_tol: float = 1e-2) 
             elif gv != wv:
                 return False
     return True
+
+
+def flip_bit(handle, page_id: int, bit: int) -> None:
+    """Flip bit ``bit`` (from the first byte's least significant bit) of
+    the stored image of one page of the ``SetFile`` ``handle``, leaving
+    its meta-file checksum as it was."""
+    image = handle._images[page_id]
+    flipped = int.from_bytes(image, "little") ^ (1 << bit)
+    handle._images[page_id] = flipped.to_bytes(len(image), "little")

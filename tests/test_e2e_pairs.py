@@ -93,3 +93,36 @@ class TestSideTrees:
         e2e_pairs.export_revision("HEAD", dest)
         assert files_under(dest) == [".gitignore", "gone.py", "pkg/kept.py"]
         assert (dest / "pkg" / "kept.py").read_text() == "committed\n"
+
+
+class TestDirectorySwap:
+    """The two side directories swap names every two pairs, so neither the
+    run order nor the path can stand in for the side."""
+
+    def test_each_side_runs_from_each_name_first_and_second_once_in_four_pairs(self):
+        runs = [
+            (side, name, position)
+            for index in range(4)
+            for position, (side, name) in enumerate(e2e_pairs.pair_plan(index))
+        ]
+        assert sorted(runs) == sorted(
+            (side, name, position)
+            for side in ("base", "change")
+            for name in ("a", "b")
+            for position in (0, 1)
+        )
+
+    def test_both_sides_never_share_a_name(self):
+        for index in range(8):
+            plan = e2e_pairs.pair_plan(index)
+            assert {side for side, _ in plan} == {"base", "change"}
+            assert {name for _, name in plan} == {"a", "b"}
+
+    def test_swap_names_exchanges_the_contents(self, tmp_path):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "side.txt").write_text(name)
+        e2e_pairs.swap_names(tmp_path / "a", tmp_path / "b")
+        assert (tmp_path / "a" / "side.txt").read_text() == "b"
+        assert (tmp_path / "b" / "side.txt").read_text() == "a"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a", "b"]

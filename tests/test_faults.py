@@ -15,13 +15,15 @@ from repro import (
     PageCorruptionError,
     PangeaCluster,
 )
-from repro.fs.page_file import CORRUPTION_SENTINEL, SetFile, page_checksum
+from repro.fs.page_file import SetFile, encode_image, page_checksum
 from repro.placement.partitioner import HashPartitioner, partition_set
 from repro.placement.replication import register_replica
 from repro.placement.rsafety import ensure_r_safety, object_node_spread
 from repro.sim.clock import SimClock
 from repro.sim.devices import KB, MB, DiskArray, DiskDevice
 from repro.sim.faults import TransientDiskError
+
+from .conftest import flip_bit
 
 
 def tiny_cluster(num_nodes=2, pool_mb=32):
@@ -207,6 +209,10 @@ class TestReplayDeterminism:
         assert sum(r["retries"] for r in robustness) > 0
 
 
+def checksum(records) -> int:
+    return page_checksum(encode_image(records))
+
+
 @pytest.fixture
 def disks():
     clock = SimClock()
@@ -215,29 +221,30 @@ def disks():
 
 class TestPageIntegrity:
     def test_checksum_is_payload_and_order_sensitive(self):
-        assert page_checksum(["a", "b"]) == page_checksum(["a", "b"])
-        assert page_checksum(["a", "b"]) != page_checksum(["b", "a"])
-        assert page_checksum(["a"]) != page_checksum(["a", "a"])
+        assert checksum(["a", "b"]) == checksum(["a", "b"])
+        assert checksum(["a", "b"]) != checksum(["b", "a"])
+        assert checksum(["a"]) != checksum(["a", "a"])
 
     def test_checksum_covers_the_middle_of_large_arrays(self):
         """numpy's repr elides all but the ends of arrays over 1000 elements."""
         points = np.arange(5000, dtype=np.float64)
         changed = points.copy()
         changed[2500] += 1.0
-        assert page_checksum([points]) != page_checksum([changed])
+        assert checksum([points]) != checksum([changed])
 
     def test_checksum_is_bit_exact_for_floats(self):
         """numpy's repr rounds to 8 significant digits."""
-        assert page_checksum([np.array([1.0])]) != page_checksum([np.array([1.0 + 1e-12])])
+        assert checksum([np.array([1.0])]) != checksum([np.array([1.0 + 1e-12])])
 
     def test_checksum_is_stable_across_processes(self):
         """String hashing is salted per process; the checksum must not be."""
         script = (
-            "from repro.fs.page_file import page_checksum; import numpy as np; "
-            "print(page_checksum([{'l_comment': 'line', 'l_tax': 0.05}, "
+            "from repro.fs.page_file import encode_image, page_checksum; "
+            "import numpy as np; "
+            "print(page_checksum(encode_image([{'l_comment': 'line', 'l_tax': 0.05}, "
             "(np.arange(4.0), 2.5), (7, 3), 'x', np.arange(12.0).reshape(3, 4)[1], "
             "np.arange(5, dtype=np.int32), np.arange(3, dtype='>f8'), "
-            "np.array([1, 'a', (2.5,)], dtype=object)]))"
+            "np.array([1, 'a', (2.5,)], dtype=object)])))"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         values = {
@@ -250,16 +257,20 @@ class TestPageIntegrity:
         }
         assert len(values) == 1
 
-    def test_one_ulp_change_to_a_stored_array_detected_on_read(self, disks):
+    def test_one_ulp_flip_in_a_stored_array_detected_on_read(self, disks):
         handle = SetFile("s", disks)
         point = np.linspace(0.0, 1.0, 8)
-        handle.write_page(1, [point, (point * 2.0, 0.5)], 1 * MB)
-        point[3] = np.nextafter(point[3], np.inf)
+        records = [point, (point * 2.0, 0.5)]
+        handle.write_page(1, records, 1 * MB)
+        # The lowest mantissa bit of point[3]: one ULP, in the stored bytes.
+        offset = encode_image(records).index(point.tobytes()) + 3 * point.itemsize
+        flip_bit(handle, 1, 8 * offset)
         with pytest.raises(PageCorruptionError):
             handle.read_page(1)
+        assert handle.peek_records(1) == []
 
     @pytest.mark.parametrize("kind", ["object", "structured", "masked"])
-    def test_changed_element_of_a_numpy_pickled_array_detected_on_read(self, disks, kind):
+    def test_changed_element_of_a_numpy_pickled_array_changes_the_checksum(self, kind):
         """Arrays outside the dtype/shape/bytes encoding keep numpy's own
         pickle, which must be exact too."""
         array = {
@@ -269,16 +280,44 @@ class TestPageIntegrity:
             ),
             "masked": lambda: np.ma.MaskedArray([1.0, 2.0, 3.0], mask=[False, True, False]),
         }[kind]()
-        handle = SetFile("s", disks)
-        handle.write_page(1, [array, "tail"], 1 * MB)
+        before = checksum([array, "tail"])
         if kind == "structured":
             array[1]["value"] = np.nextafter(1.5, np.inf)
         elif kind == "masked":
             array.mask[0] = True
         else:
             array[1] = "b"
-        with pytest.raises(PageCorruptionError):
-            handle.read_page(1)
+        assert checksum([array, "tail"]) != before
+
+    def test_records_changed_in_place_after_a_write_do_not_reach_the_image(self, disks):
+        handle = SetFile("s", disks)
+        row, point = {"id": 7, "tags": ["a"]}, np.linspace(0.0, 1.0, 8)
+        handle.write_page(1, [row, point], 1 * MB)
+        row["id"] = 8
+        row["tags"].append("b")
+        point[3] = np.nextafter(point[3], np.inf)
+        for got_row, got_point in (handle.read_page(1)[0], handle.peek_records(1)):
+            assert got_row == {"id": 7, "tags": ["a"]}
+            assert got_point.tobytes() == np.linspace(0.0, 1.0, 8).tobytes()
+            assert not got_point.flags.writeable
+
+    def test_records_changed_in_place_after_an_eviction_do_not_reach_the_image(self):
+        cluster = tiny_cluster(num_nodes=1)
+        data = cluster.create_set("d", durability="write-back", page_size=1 * MB)
+        row, point = {"id": 7}, np.linspace(0.0, 1.0, 8)
+        data.add_data([row, point])
+        shard = data.shards[0]
+        page = shard.pages[0]
+        shard.evict_page(page)
+        assert page.on_disk and not page.in_memory
+        row["id"] = 8
+        point[3] = np.nextafter(point[3], np.inf)
+        assert shard.stored_records(page)[0] == {"id": 7}
+        pinned = shard.pin_page(page)
+        got_row, got_point = pinned.records
+        assert got_row == {"id": 7}
+        assert got_point.tobytes() == np.linspace(0.0, 1.0, 8).tobytes()
+        shard.unpin_page(pinned)
 
     def test_unpicklable_payload_leaves_the_file_untouched(self, disks):
         handle = SetFile("s", disks)
@@ -302,6 +341,15 @@ class TestPageIntegrity:
         handle = SetFile("s", disks)
         handle.write_page(1, ["a", "b", "c"], 1 * MB)
         handle.corrupt_image(1)
+        with pytest.raises(PageCorruptionError):
+            handle.read_page(1)
+
+    def test_corrupting_a_corrupt_image_keeps_it_corrupt(self, disks):
+        handle = SetFile("s", disks)
+        handle.write_page(1, ["a", "b", "c"], 1 * MB)
+        handle.corrupt_image(1)
+        handle.corrupt_image(1)
+        assert not handle.image_intact(1)
         with pytest.raises(PageCorruptionError):
             handle.read_page(1)
 
@@ -419,7 +467,7 @@ class TestCorruptImagesAtRegistration:
     def test_register_replica_skips_corrupt_images(self, seed):
         _cluster, rep_a, rep_b = self.load_corrupting(seed)
         evicted = [
-            (member, shard, page, CORRUPTION_SENTINEL in shard.file.peek_records(page.page_id))
+            (member, shard, page, not shard.file.image_intact(page.page_id))
             for member in (rep_a, rep_b)
             for shard in member.shards.values()
             for page in shard.pages

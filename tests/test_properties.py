@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import FaultInjector, MachineProfile, PangeaCluster
+from repro import FaultInjector, MachineProfile, PageCorruptionError, PangeaCluster
 from repro.fs.page_file import encode_image, page_checksum
 from repro.query.batch import BatchStepRunner
 from repro.query.pipeline import run_steps
@@ -21,6 +21,8 @@ from repro.services.shuffle import ShuffleService
 from repro.sim.clock import SimClock
 from repro.sim.devices import KB, MB, CpuProfile
 from repro.util import estimate_bytes, stable_hash
+
+from .conftest import flip_bit
 
 
 @settings(max_examples=25, deadline=None)
@@ -134,6 +136,10 @@ STORED_RECORDS = {
 }
 
 
+def _checksum(records) -> int:
+    return page_checksum(encode_image(records))
+
+
 def _same(a, b) -> bool:
     """``==`` that compares numpy arrays (and tuples holding them) element-wise."""
     if isinstance(a, tuple):
@@ -148,8 +154,8 @@ def _same(a, b) -> bool:
 @given(data=st.data())
 def test_page_checksum_is_deterministic_and_bounded(kind, data):
     records = data.draw(st.lists(STORED_RECORDS[kind], max_size=20))
-    value = page_checksum(records)
-    assert value == page_checksum(copy.deepcopy(records))
+    value = _checksum(records)
+    assert value == _checksum(copy.deepcopy(records))
     assert 0 <= value < 2 ** 64
 
 
@@ -162,18 +168,18 @@ def test_page_checksum_sees_any_replaced_record(kind, data):
     replacement = data.draw(STORED_RECORDS[kind])
     assume(not _same(replacement, records[index]))
     changed = records[:index] + [replacement] + records[index + 1:]
-    assert page_checksum(changed) != page_checksum(records)
+    assert _checksum(changed) != _checksum(records)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_page_checksum_sees_a_one_ulp_change_to_any_array_element(data):
     records = data.draw(st.lists(_POINTS, min_size=1, max_size=20))
-    before = page_checksum(records)
+    before = _checksum(records)
     point = records[data.draw(st.integers(min_value=0, max_value=len(records) - 1))]
     index = data.draw(st.integers(min_value=0, max_value=point.size - 1))
     point[index] = np.nextafter(point[index], np.inf if point[index] < 0 else -np.inf)
-    assert page_checksum(records) != before
+    assert _checksum(records) != before
 
 
 @pytest.mark.parametrize("kind", sorted(STORED_RECORDS))
@@ -186,7 +192,7 @@ def test_page_checksum_sees_any_swap(kind, data):
     assume(not _same(records[i], records[j]))
     swapped = list(records)
     swapped[i], swapped[j] = swapped[j], swapped[i]
-    assert page_checksum(swapped) != page_checksum(records)
+    assert _checksum(swapped) != _checksum(records)
 
 
 #: (dtype, dtype) pairs whose ``view`` reinterprets the same bytes.
@@ -202,12 +208,12 @@ def test_page_checksum_sees_a_dtype_or_shape_only_change(data):
     """The dtype string and the shape are encoded, not just the bytes."""
     dtype, other = data.draw(st.sampled_from(_REINTERPRETATIONS))
     array = data.draw(hnp.arrays(dtype, _SIDES))
-    before = page_checksum([array])
-    assert page_checksum([array.view(other)]) != before
-    assert page_checksum([array.reshape(1, -1)]) != before
-    assert page_checksum([array.reshape(-1, 1)]) != before
+    before = _checksum([array])
+    assert _checksum([array.view(other)]) != before
+    assert _checksum([array.reshape(1, -1)]) != before
+    assert _checksum([array.reshape(-1, 1)]) != before
     if array.size == 1:
-        assert page_checksum([array.reshape(())]) != before
+        assert _checksum([array.reshape(())]) != before
 
 
 @settings(max_examples=40, deadline=None)
@@ -223,10 +229,10 @@ def test_page_checksum_sees_a_dtype_or_shape_only_change(data):
 )
 def test_page_checksum_of_a_view_equals_its_copy(array):
     """Only contents count: layout, strides and a shared base do not."""
-    value = page_checksum([array])
-    assert page_checksum([array.copy()]) == value
-    assert page_checksum([np.asfortranarray(array)]) == value
-    assert page_checksum([np.ascontiguousarray(array)]) == value
+    value = _checksum([array])
+    assert _checksum([array.copy()]) == value
+    assert _checksum([np.asfortranarray(array)]) == value
+    assert _checksum([np.ascontiguousarray(array)]) == value
 
 
 @pytest.mark.parametrize("kind", sorted(STORED_RECORDS))
@@ -238,6 +244,28 @@ def test_encoded_image_decodes_to_equal_records(kind, data):
     assert len(decoded) == len(records)
     for got, want in zip(decoded, records):
         assert _same_exactly(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(STORED_RECORDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_any_flipped_bit_of_a_stored_image_is_detected(kind, data):
+    """Flipping any one bit of an on-disk page image fails the checked
+    read and makes the image read as empty metadata-side."""
+    records = data.draw(st.lists(STORED_RECORDS[kind], min_size=1, max_size=10))
+    cluster = PangeaCluster(num_nodes=1, profile=MachineProfile.tiny(pool_bytes=4 * MB))
+    dataset = cluster.create_set("s", durability="write-back", page_size=256 * KB)
+    dataset.add_data(records)
+    shard = dataset.shards[0]
+    (page,) = shard.pages
+    image = encode_image(page.records)
+    shard.evict_page(page)
+    assert shard.file.image_intact(page.page_id)
+    bit = data.draw(st.integers(min_value=0, max_value=8 * len(image) - 1))
+    flip_bit(shard.file, page.page_id, bit)
+    with pytest.raises(PageCorruptionError):
+        shard.file.read_page(page.page_id)
+    assert shard.stored_records(page) == []
 
 
 def _same_exactly(a, b) -> bool:
