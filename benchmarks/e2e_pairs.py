@@ -22,8 +22,10 @@ script prints each pair's values and the directory the working tree ran
 from, each side's median and quartiles, the number of pairs the working
 tree wins (is better on, in the metric's direction) and a verdict:
 
-- ``gain``: the working tree wins at least 9 in 10 of the pairs, and its
-  median is better than the base's by more than the base's quartile spread;
+- ``gain``: at least ten pairs ran, the working tree wins at least 9 in 10
+  of them, and its median is better than the base's by more than the
+  base's quartile spread (with fewer pairs, even all wins read as
+  ``unresolved``);
 - ``worse``: the working tree's median is worse than the base's by more
   than the metric's bound (a fraction of the base median);
 - ``unresolved``: neither.
@@ -42,6 +44,9 @@ import tempfile
 from pathlib import Path
 
 ROOT_DIR = Path(__file__).resolve().parents[1]
+
+#: The fewest pairs that can show a ``gain``.
+MIN_GAIN_PAIRS = 10
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -111,7 +116,8 @@ def verdict(better: str, bound: float, base: list, change: list) -> str:
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     q1, base_median, q3 = quartiles(base)
     improvement = sign * (base_median - quartiles(change)[1])
-    if wins * 10 >= 9 * len(base) and improvement > q3 - q1:
+    if (len(base) >= MIN_GAIN_PAIRS and wins * 10 >= 9 * len(base)
+            and improvement > q3 - q1):
         return "gain"
     if -improvement > bound * abs(base_median):
         return "worse"

@@ -4,7 +4,7 @@ The paper reports ~5,889 SLOC of C++ for eleven components built on
 Pangea's services.  We report the same breakdown for this repository's
 Python implementation — the point being that a complete distributed query
 processor is a modest amount of code once the storage substrate provides
-scan/shuffle/hash/broadcast services.
+scan/shuffle/hash services.
 """
 
 import os
@@ -12,13 +12,12 @@ import os
 from conftest import record_report
 
 import repro.query
-import repro.services
 
 COMPONENTS = [
     ("Scan + Pipeline", ["query/pipeline.py"]),
     ("Expressions + operators", ["query/expressions.py", "query/operators.py"]),
-    ("Build broadcast hash map", ["services/broadcast.py"]),
-    ("Build partitioned hash map", ["services/joinmap.py"]),
+    # The scheduler builds and probes both join maps with these kernels.
+    ("Broadcast + partitioned hash map", ["query/batch.py"]),
     ("Shuffle service", ["services/shuffle.py"]),
     ("Hash service", ["services/hashsvc.py"]),
     ("QueryScheduling", ["query/scheduler.py"]),

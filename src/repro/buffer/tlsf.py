@@ -196,15 +196,6 @@ class TlsfAllocator:
     def free_bytes(self) -> int:
         return self.capacity - self.used_bytes
 
-    def largest_free_block(self) -> int:
-        """Size of the largest free block (0 when the arena is full)."""
-        best = 0
-        for bucket in self._free_lists.values():
-            for block in bucket:
-                if block.size > best:
-                    best = block.size
-        return best
-
     def check_invariants(self) -> None:
         """Verify physical-list and accounting invariants (tests only)."""
         total = 0

@@ -178,14 +178,8 @@ class PangeaCluster:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def alive_nodes(self) -> list[WorkerNode]:
-        return [n for n in self.nodes if not n.failed]
-
     def total_pool_bytes_used(self) -> int:
         return sum(node.pool.used_bytes for node in self.nodes)
-
-    def total_bytes_on_disk(self) -> int:
-        return sum(node.fs.bytes_on_disk for node in self.nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,10 +7,8 @@ implies ``concurrent-write``, the hash service implies
 ``random-mutable-write`` + ``random-read``, and so on.
 """
 
-from repro.services.broadcast import BroadcastMap, broadcast_map
 from repro.services.dispatcher import Dispatcher, ImportReport
 from repro.services.hashsvc import VirtualHashBuffer
-from repro.services.joinmap import JoinMap, build_join_map
 from repro.services.sequential import (
     NodeFailedError,
     PageIterator,
@@ -36,8 +34,4 @@ __all__ = [
     "SmallPageAllocator",
     "VirtualShuffleBuffer",
     "VirtualHashBuffer",
-    "BroadcastMap",
-    "broadcast_map",
-    "JoinMap",
-    "build_join_map",
 ]

@@ -213,18 +213,25 @@ class VirtualHashBuffer:
         self.num_roots = num_root_partitions
         self.combiner = combiner
         self.stats = HashServiceStats()
+        self._finalized = False
+        self._released = False
         dataset.active_writers += 1
         dataset.attributes.note_write_service(WritingPattern.RANDOM_MUTABLE_WRITE)
         dataset.attributes.note_read_service(ReadingPattern.RANDOM_READ)
         shard_list = [dataset.shards[nid] for nid in sorted(dataset.shards)]
-        self.roots = [
-            _RootPartition(self, shard_list[i % len(shard_list)], i)
-            for i in range(num_root_partitions)
-        ]
+        self.roots: list[_RootPartition] = []
+        try:
+            for i in range(num_root_partitions):
+                self.roots.append(_RootPartition(self, shard_list[i % len(shard_list)], i))
+        except BaseException:
+            # A root that gets no page (BufferPoolFullError) must not leave
+            # the earlier roots' pages pinned, or the set cannot be dropped.
+            for root in self.roots:
+                root.shard.unpin_page(root.directory[0].page)
+            self._detach()
+            raise
         #: Each root's node CPU, charged once per write call.
         self._cpus = [root.shard.node.cpu for root in self.roots]
-        self._finalized = False
-        self._released = False
         #: key -> (root index, sub_hash) memo for the write path.
         self._route_cache: dict = {}
 
@@ -380,8 +387,8 @@ class VirtualHashBuffer:
     def finalize(self, max_rounds_per_spill: int = 10) -> None:
         """Fold every spilled partial result back into the live tables.
 
-        Used by the join/broadcast map services, which need the whole map
-        resident for random lookups.  Re-inserting may spill again under
+        For callers that need the whole map resident for random lookups
+        with :meth:`find`.  Re-inserting may spill again under
         pressure; a bound on total rounds turns a map that simply does not
         fit into a clear error instead of thrashing forever.
         """

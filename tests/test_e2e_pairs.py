@@ -27,6 +27,12 @@ class TestVerdict:
         change[8] = BASE[8] - 1.5
         assert verdict("lower", 0.25, BASE, change) == "gain"
 
+    @pytest.mark.parametrize("pairs", [4, 9])
+    def test_gain_needs_ten_pairs(self, pairs):
+        # Every pair won by far more than the base's quartile spread.
+        change = [b - 1.5 for b in BASE[:pairs]]
+        assert verdict("lower", 0.25, BASE[:pairs], change) == "unresolved"
+
     def test_gain_needs_medians_apart_by_more_than_the_base_iqr(self):
         # Ten wins of 0.1 each, inside the base's quartile spread (0.35).
         change = [b - 0.1 for b in BASE]
@@ -48,7 +54,7 @@ class TestVerdict:
         assert verdict(better, 0.25, BASE, change) == expected
 
     def test_single_pair(self):
-        assert verdict("lower", 0.1, [10.0], [9.0]) == "gain"
+        assert verdict("lower", 0.1, [10.0], [9.0]) == "unresolved"
         assert verdict("lower", 0.1, [10.0], [10.5]) == "unresolved"
         assert verdict("lower", 0.1, [10.0], [11.5]) == "worse"
 

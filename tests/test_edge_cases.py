@@ -51,9 +51,9 @@ class TestDropSetRobustness:
         data = cluster.create_set("s", durability="write-back",
                                   page_size=512 * KB, object_bytes=128 * KB)
         data.add_data(list(range(64)))  # spills
-        assert cluster.total_bytes_on_disk() > 0
+        assert cluster.nodes[0].fs.bytes_on_disk > 0
         cluster.drop_set("s")
-        assert cluster.total_bytes_on_disk() == 0
+        assert cluster.nodes[0].fs.bytes_on_disk == 0
         assert cluster.nodes[0].pool.used_bytes == 0
 
     def test_drop_missing_set_raises(self):

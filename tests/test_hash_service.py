@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro import CurrentOperation, MachineProfile, PangeaCluster, ReadingPattern, WritingPattern
+from repro.buffer.pool import BufferPoolFullError
 from repro.services.hashsvc import VirtualHashBuffer
 from repro.sim.devices import KB, MB
 
@@ -120,7 +121,7 @@ class TestGrowthAndSpill:
         for i in range(60000):
             buffer.insert(i, i, nbytes=68)
         assert buffer.stats.spills >= 1
-        assert cluster.total_bytes_on_disk() > 0
+        assert cluster.nodes[0].fs.bytes_on_disk > 0
 
     def test_streaming_items_after_spill_are_complete(self):
         cluster = make_cluster(pool=4 * MB)
@@ -155,6 +156,47 @@ class TestGrowthAndSpill:
         assert buffer.find(0) is not None
         assert buffer.find(19999) is not None
         assert buffer.stats.reloads >= spilled_before
+
+    def test_finalize_folds_spilled_partials_back_for_lookups(self):
+        # Pages pinned by another set squeeze the build into half the pool,
+        # so it spills; once they are unpinned, finalize has room to fold
+        # every spilled partial back into resident tables.
+        cluster = make_cluster(pool=4 * MB)
+        other = cluster.create_set("other", durability="write-back", page_size=1 * MB)
+        held = [other.shards[0].new_page(pin=True) for _ in range(2)]
+        buffer = make_buffer(cluster, roots=2, page_size=1 * MB,
+                             combiner=lambda a, b: a + b)
+        keys = list(range(30000))
+        for rep in range(3):
+            buffer.insert_many(keys, [[(k, rep)] for k in keys], nbytes=68)
+        assert buffer.stats.spills > 0
+        for page in held:
+            other.shards[0].unpin_page(page)
+        buffer.finalize()
+        assert buffer.stats.reloads == buffer.stats.spills
+        # Every duplicate of every key is found, none twice.
+        assert all(sorted(buffer.find(k)) == [(k, 0), (k, 1), (k, 2)] for k in keys)
+        assert buffer.find(-1) is None
+        assert len(buffer) == 30000
+        buffer.release()
+        buffer.dataset.end_lifetime()
+        cluster.drop_set("h")
+        assert "h" not in cluster.manager.set_names()
+
+    def test_failed_construction_unpins_its_pages(self):
+        # The pool holds three 1 MB pages, so the fourth of eight roots
+        # gets none.
+        cluster = make_cluster(pool=3 * MB)
+        pool = cluster.nodes[0].pool
+        used = pool.used_bytes
+        data = cluster.create_set("h", durability="write-back", page_size=1 * MB)
+        with pytest.raises(BufferPoolFullError):
+            VirtualHashBuffer(data, num_root_partitions=8)
+        assert data.active_writers == 0
+        assert not any(p.pinned for p in data.shards[0].pages)
+        data.end_lifetime()
+        cluster.drop_set("h")
+        assert pool.used_bytes == used
 
     def test_release_unpins_all_pages(self):
         cluster = make_cluster()

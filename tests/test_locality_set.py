@@ -161,5 +161,5 @@ class TestLocalitySetDistribution:
         )
         records = list(range(1024))  # 64MB logical over two 8MB pools
         data.add_data(records)
-        assert cluster.total_bytes_on_disk() > 0
+        assert any(node.fs.bytes_on_disk > 0 for node in cluster.nodes)
         assert sorted(data.scan_records()) == records

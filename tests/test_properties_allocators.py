@@ -73,7 +73,8 @@ class TestTlsfProperties:
         for offset in offsets:
             alloc.free(offset)
         assert alloc.used_bytes == 0
-        assert alloc.largest_free_block() == ARENA
+        alloc.check_invariants()  # no two free blocks are adjacent
+        assert alloc.malloc(ARENA) == 0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -178,6 +178,87 @@ class TestJoinStrategies:
             )
 
 
+def orders_probe_items():
+    """Orders probe a build side of items: four items share each key."""
+    return ScanNode("orders").join(
+        ScanNode("items"),
+        left_key=lambda r: r["o_id"],
+        right_key=lambda r: r["i_order"],
+        merge=lambda l, r: {"o_id": l["o_id"], "i_id": r["i_id"]},
+    )
+
+
+class TestJoinBuildSide:
+    def test_broadcast_reaches_nodes_that_hold_no_build_records(self, cluster):
+        dim = cluster.create_set("dim", page_size=1 * MB, nodes=[0], object_bytes=64)
+        dim.add_data([{"d_id": i, "label": f"v{i}"} for i in range(100)])
+        assert sorted(cluster.get_set("items").shards) == [0, 1, 2]
+        sched = QueryScheduler(cluster, broadcast_threshold=1 * MB, object_bytes=64)
+        rows = sched.execute(
+            ScanNode("items").join(
+                ScanNode("dim"),
+                left_key=lambda r: r["i_order"],
+                right_key=lambda r: r["d_id"],
+                merge=lambda l, r: {"i_id": l["i_id"], "label": r["label"]},
+            )
+        )
+        assert sched.metrics.broadcast_joins == 1
+        # Items on nodes 1 and 2 matched records that only node 0 stores.
+        assert sorted((r["i_id"], r["label"]) for r in rows) == [
+            (i, f"v{i % 100}") for i in range(400)
+        ]
+
+    def test_broadcast_join_drops_probes_without_a_match(self, cluster):
+        sched = QueryScheduler(cluster, broadcast_threshold=1 * MB, object_bytes=64)
+        rows = sched.execute(
+            ScanNode("items").join(
+                ScanNode("orders").filter(lambda r: r["o_id"] < 10),
+                left_key=lambda r: r["i_order"],
+                right_key=lambda r: r["o_id"],
+                merge=lambda l, r: {**l, **r},
+            )
+        )
+        assert sched.metrics.broadcast_joins == 1
+        assert sorted(r["i_id"] for r in rows) == [
+            i for i in range(400) if i % 100 < 10
+        ]
+
+    @pytest.mark.parametrize(
+        "threshold, counter",
+        [(1 * MB, "broadcast_joins"), (0, "repartition_joins")],
+        ids=["broadcast", "repartition"],
+    )
+    def test_every_duplicate_build_match_is_emitted(self, cluster, threshold, counter):
+        sched = QueryScheduler(cluster, broadcast_threshold=threshold, object_bytes=64)
+        rows = sched.execute(orders_probe_items())
+        assert getattr(sched.metrics, counter) == 1
+        assert sorted((r["o_id"], r["i_id"]) for r in rows) == sorted(
+            (i % 100, i) for i in range(400)
+        )
+
+    def test_broadcast_sends_the_build_side_to_every_other_node(self, cluster):
+        def bytes_sent():
+            return sum(node.network.stats.bytes_sent for node in cluster.nodes)
+
+        sched = QueryScheduler(cluster, broadcast_threshold=1 * MB, object_bytes=64)
+        before = bytes_sent()
+        rows = sched.execute(join_plan())
+        assert sched.metrics.broadcast_joins == 1
+        # 100 orders go to each of the other two nodes, then the 400 joined
+        # rows are collected.
+        assert bytes_sent() - before == (100 * 2 + len(rows)) * 64
+
+    def test_repartition_join_drops_its_shuffle_sets(self, cluster):
+        names = cluster.manager.set_names()
+        sched = QueryScheduler(cluster, broadcast_threshold=0, object_bytes=64)
+        assert len(sched.execute(orders_probe_items())) == 400
+        assert sched.metrics.repartition_joins == 1
+        assert cluster.manager.set_names() == names
+        assert not any(
+            page.pinned for node in cluster.nodes for page in node.pool.resident_pages()
+        )
+
+
 class TestAggregation:
     def test_two_stage_aggregation(self, cluster):
         sched = QueryScheduler(cluster, object_bytes=64)

@@ -64,7 +64,8 @@ class TestTlsfBasics:
         assert alloc.malloc(64) is None
         for offset in offsets:
             alloc.free(offset)
-        assert alloc.largest_free_block() == 4096
+        alloc.check_invariants()  # no two free blocks are adjacent
+        assert alloc.malloc(4096) == 0
 
     def test_coalesce_out_of_order(self):
         alloc = TlsfAllocator(4096)
@@ -164,4 +165,5 @@ def test_tlsf_property_full_free_restores_arena(sizes):
     for offset in offsets:
         alloc.free(offset)
     assert alloc.used_bytes == 0
-    assert alloc.largest_free_block() == 1 << 18
+    alloc.check_invariants()  # no two free blocks are adjacent
+    assert alloc.malloc(1 << 18) == 0
