@@ -5,7 +5,7 @@ from __future__ import annotations
 import typing
 from dataclasses import dataclass
 
-from repro.util import stable_hash
+from repro.util import HASH_MASK, INT_HASH_MULTIPLIER, stable_hash
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.locality_set import LocalitySet
@@ -56,6 +56,18 @@ class PartitionComp:
     def partition_of_key(self, key: object) -> int:
         return stable_hash(key) % self.num_partitions
 
+    def partition_many(self, records: list) -> "list[int]":
+        """``[self.partition_of(r) for r in records]``, with an int key's hash
+        computed inline instead of by a :func:`stable_hash` call."""
+        num_partitions = self.num_partitions
+        multiplier, mask = INT_HASH_MULTIPLIER, HASH_MASK
+        return [
+            (key * multiplier & mask) % num_partitions
+            if type(key) is int
+            else stable_hash(key) % num_partitions
+            for key in map(self.key_fn, records)
+        ]
+
     def scheme(self) -> PartitionScheme:
         return PartitionScheme(
             kind=self.kind, key_name=self.key_name, num_partitions=self.num_partitions
@@ -89,6 +101,10 @@ class RangePartitioner(PartitionComp):
     def partition_of(self, record: object) -> int:
         return self.partition_of_key(self.key_fn(record))
 
+    def partition_many(self, records: list) -> "list[int]":
+        key_fn, of_key = self.key_fn, self.partition_of_key
+        return [of_key(key_fn(record)) for record in records]
+
 
 class RoundRobinPartitioner(PartitionComp):
     """Spray records evenly regardless of key (random dispatch)."""
@@ -103,6 +119,12 @@ class RoundRobinPartitioner(PartitionComp):
         partition = self._cursor % self.num_partitions
         self._cursor += 1
         return partition
+
+    def partition_many(self, records: list) -> "list[int]":
+        """The next ``len(records)`` slots; the cursor advances past them."""
+        start = self._cursor
+        self._cursor += len(records)
+        return [(start + i) % self.num_partitions for i in range(len(records))]
 
 
 def partition_set(
@@ -132,8 +154,9 @@ def partition_set(
                 for page in iterator:
                     shard.node.cpu.per_object(len(page.records))
                     batches: list[list] = [[] for _ in node_ids]
-                    for record in page.records:
-                        batches[partitioner.partition_of(record) % num_nodes].append(record)
+                    records = page.records
+                    for record, partition in zip(records, partitioner.partition_many(records)):
+                        batches[partition % num_nodes].append(record)
                     for dest, batch in zip(node_ids, batches):
                         if not batch:
                             continue

@@ -43,21 +43,31 @@ def _lost_test(
     lost_ids: "set | None",
     object_id_fn,
 ):
-    """Predicate: was this record's copy in ``target`` on the failed node?"""
+    """Page predicate: for each record, was its copy in ``target`` on the
+    failed node?  Returns one flag per record of the page."""
     partitioner = target.partitioner
     if partitioner is not None:
         node_ids = sorted(target.shards)
         num_nodes = len(node_ids)
+        lost_partitions = {
+            partition for partition in range(partitioner.num_partitions)
+            if node_ids[partition % num_nodes] == failed_node
+        }
 
-        def by_partition(record: object) -> bool:
-            return node_ids[partitioner.partition_of(record) % num_nodes] == failed_node
+        def by_partition(records: list) -> "list[bool]":
+            return [p in lost_partitions for p in partitioner.partition_many(records)]
 
         return by_partition
     # Randomly dispatched replica: fall back to the lost-id set.
     assert lost_ids is not None
+    return _ids_in(lost_ids, object_id_fn)
 
-    def by_id(record: object) -> bool:
-        return object_id_fn(record) in lost_ids
+
+def _ids_in(ids: set, object_id_fn):
+    """Page predicate: for each record, is its object id in ``ids``?"""
+
+    def by_id(records: list) -> "list[bool]":
+        return [object_id in ids for object_id in map(object_id_fn, records)]
 
     return by_id
 
@@ -162,8 +172,9 @@ def _recover_replica(
                             len(page.records), workers=workers, factor=2.0
                         )
                         batches: list[list] = [[] for _ in survivors]
-                        for record in page.records:
-                            if not is_lost(record):
+                        records = page.records
+                        for record, lost in zip(records, is_lost(records)):
+                            if not lost:
                                 continue
                             object_id = object_id_fn(record)
                             if object_id in recovered_ids:
@@ -188,7 +199,7 @@ def _recover_replica(
             for source in sources[1:]:
                 if not missing:
                     break
-                copy_lost(source, lambda record: object_id_fn(record) in missing)
+                copy_lost(source, _ids_in(missing, object_id_fn))
                 missing -= recovered_ids
     report.objects_recovered += len(recovered_ids)
     return len(recovered_ids)

@@ -59,6 +59,13 @@ class ReplicationGroup:
     #: makes recovery idempotent and tells readers a failed node is healed
     recovered_nodes: set = field(default_factory=set)
     group_id: int | None = None
+    #: The last colliding-set refresh, kept so the next registration folds
+    #: in only its new member: ``(object_id_fn, homes, folded)``, where
+    #: ``homes`` maps object id -> the one node seen holding it (``None``
+    #: once seen on two) and ``folded`` lists ``(member, signature)`` for
+    #: each member read into it (see :func:`_member_signature`).  Not kept
+    #: when a folded member had evicted pages: it could never be reused.
+    _fold: "tuple | None" = field(default=None, repr=False, compare=False)
 
     @property
     def num_colliding(self) -> int:
@@ -102,35 +109,73 @@ def register_replica(
     return group
 
 
+def _member_signature(member: "LocalitySet") -> "tuple | None":
+    """What a folded member must still look like for its fold to stand.
+
+    Per shard: its node, its page ids and its object count, so appended
+    records and added or dropped pages show.  Sealed pages are assumed never
+    to change in place (no service rewrites a sealed page's records).
+    ``None`` when some page is not resident, since re-reading it would
+    charge the disk: such a member is always re-read.
+    """
+    signature = []
+    for node_id, shard in member.shards.items():
+        pages = shard.pages
+        for page in pages:
+            if not page.records and page.on_disk:
+                return None
+        signature.append(
+            (node_id, tuple(page.page_id for page in pages), shard.num_objects)
+        )
+    return tuple(signature)
+
+
 def _refresh_colliding_set(cluster: "PangeaCluster", group: ReplicationGroup) -> None:
     """Recompute colliding objects and (re)build their safety set.
 
-    One read of every member's pages does all the per-record work: it
+    One read of a member's pages does all its per-record work: it
     backfills the page-image indexes (read-repair support) for pages
     persisted before their set joined the group, and maps each object id
     to the one node seen holding it.  A page whose disk image fails its
     checksum is skipped, not indexed: reading it later raises
     :class:`~repro.sim.faults.PageCorruptionError` rather than "repairing"
     the page to the ids of its corrupt payload.
+
+    The id -> home map of the last refresh is reused, and only the members
+    after the ones it folded are read, when the same id function is passed
+    and each folded member is unchanged and fully resident (re-reading it
+    would then charge nothing and map nothing new).  Otherwise every
+    member is read.
     """
     object_id_fn = group.object_id_fn
     if object_id_fn is None or len(group.members) < 2:
         return
-    # object id -> the one node seen holding it; None once seen on two
+    fold, group._fold = group._fold, None
     homes: dict = {}
-    for member in group.members:
+    folded: list = []
+    if fold is not None and fold[0] is object_id_fn:
+        _fn, cached_homes, cached_folded = fold
+        if len(cached_folded) <= len(group.members) and all(
+            member is current and _member_signature(member) == signature
+            for (member, signature), current in zip(cached_folded, group.members)
+        ):
+            homes, folded = cached_homes, cached_folded
+    for member in group.members[len(folded):]:
         for node_id, shard in member.shards.items():
             for page in shard.pages:
                 try:
                     records = shard.read_records(page)
                 except PageCorruptionError:
                     continue
-                ids = [object_id_fn(record) for record in records]
+                ids = list(map(object_id_fn, records))
                 if page.on_disk:
                     member.remember_page_ids(node_id, page.page_id, ids)
                 for object_id in ids:
                     if homes.setdefault(object_id, node_id) != node_id:
                         homes[object_id] = None
+        folded.append((member, _member_signature(member)))
+    if all(signature is not None for _member, signature in folded):
+        group._fold = (object_id_fn, homes, folded)
     group.colliding_home = {oid: home for oid, home in homes.items() if home is not None}
     group.colliding_ids = set(group.colliding_home)
     if group.colliding_set is not None:

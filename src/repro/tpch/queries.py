@@ -13,6 +13,7 @@ Q12, Q13, Q14, Q17 and Q22 can run as co-partitioned, shuffle-free joins.
 from __future__ import annotations
 
 import typing
+from operator import itemgetter
 
 from repro.query.operators import ScanNode
 from repro.tpch import reference as ref
@@ -31,13 +32,18 @@ def _round(value: float, digits: int = 2) -> float:
 # replica registration (paper Sec. 9.1.2)
 # ----------------------------------------------------------------------
 
+_LINEITEM_ID = itemgetter("l_orderkey", "l_linenumber")
+_ORDERS_ID = itemgetter("o_orderkey")
+
+# One id function object per table: a group reuses its last colliding-object
+# fold only when the next registration passes the very same function.
 REPLICA_SPECS = [
-    ("lineitem", "l_orderkey", lambda r: (r["l_orderkey"], r["l_linenumber"])),
-    ("lineitem", "l_partkey", lambda r: (r["l_orderkey"], r["l_linenumber"])),
-    ("orders", "o_orderkey", lambda r: r["o_orderkey"]),
-    ("orders", "o_custkey", lambda r: r["o_orderkey"]),
-    ("part", "p_partkey", lambda r: r["p_partkey"]),
-    ("customer", "c_custkey", lambda r: r["c_custkey"]),
+    ("lineitem", "l_orderkey", _LINEITEM_ID),
+    ("lineitem", "l_partkey", _LINEITEM_ID),
+    ("orders", "o_orderkey", _ORDERS_ID),
+    ("orders", "o_custkey", _ORDERS_ID),
+    ("part", "p_partkey", itemgetter("p_partkey")),
+    ("customer", "c_custkey", itemgetter("c_custkey")),
 ]
 
 
@@ -65,9 +71,7 @@ def register_tpch_replicas(
             page_size=source.page_size,
             object_bytes=max(1, int(ROW_BYTES[table] * row_scale)),
         )
-        partitioner = HashPartitioner(
-            (lambda k: (lambda r: r[k]))(key), num_partitions, key_name=key
-        )
+        partitioner = HashPartitioner(itemgetter(key), num_partitions, key_name=key)
         partition_set(source, replica, partitioner)
         groups[table] = register_replica(source, replica, object_id_fn=object_id_fn)
     return groups

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+#: ``stable_hash(n)`` of an int ``n`` is ``n * INT_HASH_MULTIPLIER & HASH_MASK``;
+#: callers that hash many int keys inline it with these.
+INT_HASH_MULTIPLIER = 0x9E3779B97F4A7C15
+HASH_MASK = 0xFFFFFFFFFFFFFFFF
+
 
 def estimate_bytes(obj: object) -> int:
     """Logical wire size of a record, used when the caller gives no size.
@@ -33,16 +38,22 @@ def stable_hash(value: object) -> int:
 
     Python randomizes ``hash(str)`` per process; partition placement (and
     therefore colliding-object counts) must be reproducible across runs.
+    A plain ``int`` inside a tuple is hashed inline rather than by a
+    recursive call; the value is the same either way.
     """
     if isinstance(value, int):
-        return value * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+        return value * INT_HASH_MULTIPLIER & HASH_MASK
     if isinstance(value, tuple):
         acc = 0x345678
         for item in value:
-            acc = (acc ^ stable_hash(item)) * 0x100000001B3 & 0xFFFFFFFFFFFFFFFF
+            if type(item) is int:
+                item_hash = item * INT_HASH_MULTIPLIER & HASH_MASK
+            else:
+                item_hash = stable_hash(item)
+            acc = (acc ^ item_hash) * 0x100000001B3 & HASH_MASK
         return acc
     data = value if isinstance(value, bytes) else str(value).encode("utf-8")
     acc = 0xCBF29CE484222325
     for byte in data:
-        acc = ((acc ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        acc = ((acc ^ byte) * 0x100000001B3) & HASH_MASK
     return acc

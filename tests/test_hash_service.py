@@ -144,18 +144,20 @@ class TestGrowthAndSpill:
         assert cluster.simulated_seconds() > before
         assert buffer.stats.reloads >= buffer.stats.spills
 
-    def test_finalize_restores_residency_for_lookups(self):
+    def test_finalize_without_spill_keeps_exact_counts(self):
+        # An 8 MB pool holds the whole build: nothing spills, so finalize
+        # has nothing to reload and leaves every combined count as built.
         cluster = make_cluster(pool=8 * MB)
         buffer = make_buffer(cluster, roots=2, page_size=1 * MB,
                              combiner=lambda a, b: a + b)
         for i in range(30000):
             buffer.insert(i % 20000, 1, nbytes=68)
-        spilled_before = buffer.stats.spills
         buffer.finalize()
-        # After finalize every key is findable again.
-        assert buffer.find(0) is not None
-        assert buffer.find(19999) is not None
-        assert buffer.stats.reloads >= spilled_before
+        assert buffer.stats.spills == 0
+        assert buffer.stats.reloads == 0
+        # Keys below 10,000 were inserted twice, the rest once.
+        assert all(buffer.find(k) == (2 if k < 10000 else 1) for k in range(20000))
+        assert buffer.find(20000) is None
 
     def test_finalize_folds_spilled_partials_back_for_lookups(self):
         # Pages pinned by another set squeeze the build into half the pool,

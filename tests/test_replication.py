@@ -3,6 +3,7 @@
 import pytest
 
 from repro import MachineProfile, PangeaCluster
+from repro.core.locality_set import LocalShard
 from repro.placement.partitioner import HashPartitioner, partition_set
 from repro.placement.replication import (
     expected_colliding_objects,
@@ -11,7 +12,7 @@ from repro.placement.replication import (
 )
 from repro.sim.devices import MB
 
-from .test_placement_golden import ROWS, load_source, make_cluster, replica
+from .test_placement_golden import ROWS, load_source, make_cluster, object_id, replica
 
 
 @pytest.fixture
@@ -112,7 +113,8 @@ class TestRegisterReplica:
     def test_registration_reads_each_member_once(self):
         """The golden three-member group: each registration calls the id
         function once per member record, plus once per first-member record
-        for the colliding samples."""
+        for the colliding samples.  The golden pool spills, so the second
+        registration cannot reuse the first one's fold and re-reads all."""
         calls = 0
 
         def counting_id(record):
@@ -131,3 +133,114 @@ class TestRegisterReplica:
         register_replica(src, rep_b, object_id_fn=counting_id, group=group)
         assert group.colliding_ids
         assert calls == 4 * ROWS
+
+
+def _resident_three_members(between, second_id_fn=None, refold=False):
+    """Register ``src`` with ``rep_a``, apply ``between``, then add ``rep_b``.
+
+    The pool holds every page, so the second registration may fold in
+    ``rep_b`` alone.  ``refold`` drops the group's cached fold first, which
+    makes the second registration re-read every member (the reference).
+    Returns ``(group, observation, reads)``: ``reads`` counts the pages
+    each set read during the second registration.
+    """
+    cluster = PangeaCluster(num_nodes=4, profile=MachineProfile.tiny(pool_bytes=32 * MB))
+    src = load_source(cluster)
+    rep_a = replica(cluster, src, "rep_a", "a")
+    rep_b = replica(cluster, src, "rep_b", "b")
+    group = register_replica(src, rep_a, object_id_fn=object_id)
+    between(src)
+    if refold:
+        group._fold = None
+    reads: dict = {}
+    read_records = LocalShard.read_records
+
+    def counting_read(shard, page):
+        reads[shard.dataset.name] = reads.get(shard.dataset.name, 0) + 1
+        return read_records(shard, page)
+
+    LocalShard.read_records = counting_read
+    try:
+        register_replica(src, rep_b, object_id_fn=second_id_fn or object_id, group=group)
+    finally:
+        LocalShard.read_records = read_records
+    safety = group.colliding_set
+    observation = {
+        "colliding_home": list(group.colliding_home.items()),
+        "safety_records": {
+            node_id: [r for page in shard.pages for r in shard.stored_records(page)]
+            for node_id, shard in sorted(safety.shards.items())
+        },
+        "page_image_ids": {
+            member.name: [
+                member.page_image_ids(node_id, page.page_id)
+                for node_id, shard in sorted(member.shards.items())
+                for page in shard.pages
+            ]
+            for member in group.members
+        },
+        "ticks": [node.clock.ticks for node in cluster.nodes],
+        "disk_bytes": [
+            (node.disks.total_bytes_read(), node.disks.total_bytes_written())
+            for node in cluster.nodes
+        ],
+        "net_bytes_sent": [node.network.stats.bytes_sent for node in cluster.nodes],
+    }
+    return group, observation, reads
+
+
+def _append_to_source(src):
+    src.add_data([{"id": ROWS + i, "a": i, "b": i, "c": i} for i in range(100)])
+
+
+def _evict_source(src):
+    for shard in src.shards.values():
+        shard.evict_pages(shard.resident_unpinned_pages())
+
+
+class TestFoldJoiningMember:
+    """A registration folds in only its new member when that is exact, and
+    ends exactly where re-reading every member would."""
+
+    @pytest.mark.parametrize(
+        "between, second_id_fn, folds",
+        [
+            (lambda src: None, None, True),
+            (_append_to_source, None, False),
+            (_evict_source, None, False),
+            (lambda src: None, lambda record: record["id"], False),
+        ],
+        ids=["unchanged", "appended", "evicted", "other_id_fn"],
+    )
+    def test_matches_a_full_reread(self, between, second_id_fn, folds):
+        group, folded, reads = _resident_three_members(between, second_id_fn)
+        _group, reference, ref_reads = _resident_three_members(
+            between, second_id_fn, refold=True
+        )
+        assert group.colliding_ids
+        assert folded == reference
+        # A full re-read reads rep_a again; the fold skips it.
+        assert ref_reads["rep_a"] > 0
+        assert reads.get("rep_a", 0) == (0 if folds else ref_reads["rep_a"])
+
+    def test_unchanged_members_are_not_reread(self):
+        """The id/home pass of the second registration reads only rep_b;
+        ``src`` is read once more, by the colliding-sample pass."""
+        calls = 0
+
+        def counting_id(record):
+            nonlocal calls
+            calls += 1
+            return record["id"]
+
+        cluster = PangeaCluster(num_nodes=4, profile=MachineProfile.tiny(pool_bytes=32 * MB))
+        src = load_source(cluster)
+        rep_a = replica(cluster, src, "rep_a", "a")
+        rep_b = replica(cluster, src, "rep_b", "b")
+        group = register_replica(src, rep_a, object_id_fn=counting_id)
+        assert group.colliding_ids
+        assert calls == 3 * ROWS
+        calls = 0
+        register_replica(src, rep_b, object_id_fn=counting_id, group=group)
+        assert group.colliding_ids
+        assert calls == 2 * ROWS
