@@ -139,60 +139,70 @@ class BufferPool:
     # ------------------------------------------------------------------
 
     def place(self, page: Page) -> None:
-        """Give ``page`` a memory location, evicting others if necessary."""
+        """Give ``page`` a memory location, evicting others if necessary.
+
+        ``malloc`` is only tried while the pool has at least ``page.size``
+        free bytes: a block that large cannot exist with fewer, so the
+        guard skips exactly the attempts that would fail and every
+        placement and eviction round is the one the unguarded loop makes.
+        """
         with self.lock:
-            if page.in_memory:
+            if page.offset is not None:
                 raise ValueError(f"page {page.page_id} is already in memory")
+            alloc = self._alloc
+            size = page.size
             rounds = 0
             while True:
-                offset = self._alloc.malloc(page.size)
-                if offset is not None:
-                    page.offset = offset
-                    self.pages[page.page_id] = page
-                    self.stats.placements += 1
-                    tracer = self.tracer
-                    if tracer is not None:
-                        tracer.instant("pool.place", "buffer",
-                                       page_id=page.page_id, size=page.size,
-                                       eviction_rounds=rounds)
-                        tracer.counter("pool.used_bytes", "buffer",
-                                       used=self._alloc.used_bytes,
-                                       capacity=self.capacity)
-                    return
+                if self.capacity - alloc.used_bytes >= size:
+                    offset = alloc.malloc(size)
+                    if offset is not None:
+                        page.offset = offset
+                        self.pages[page.page_id] = page
+                        self.stats.placements += 1
+                        tracer = self.tracer
+                        if tracer is not None:
+                            tracer.instant("pool.place", "buffer",
+                                           page_id=page.page_id, size=size,
+                                           eviction_rounds=rounds)
+                            tracer.counter("pool.used_bytes", "buffer",
+                                           used=alloc.used_bytes,
+                                           capacity=self.capacity)
+                        return
                 if self.evictor is None:
                     raise BufferPoolFullError(
-                        f"cannot place a {page.size}-byte page: pool has "
+                        f"cannot place a {size}-byte page: pool has "
                         f"{self.free_bytes} free bytes and no evictor installed"
                     )
                 if rounds >= self.max_eviction_rounds:
                     raise BufferPoolFullError(
-                        f"cannot place a {page.size}-byte page after "
+                        f"cannot place a {size}-byte page after "
                         f"{rounds} eviction rounds ({self.free_bytes} free bytes)"
                     )
-                used_before = self._alloc.used_bytes
-                if not self.evictor(page.size):
+                used_before = alloc.used_bytes
+                if not self.evictor(size):
                     raise BufferPoolFullError(
-                        f"cannot place a {page.size}-byte page: pool has "
+                        f"cannot place a {size}-byte page: pool has "
                         f"{self.free_bytes} free bytes and nothing evictable"
                     )
                 rounds += 1
-                if self._alloc.used_bytes >= used_before:
+                if alloc.used_bytes >= used_before:
                     raise BufferPoolFullError(
                         f"eviction round {rounds} reported success but freed "
                         f"no bytes; refusing to retry placement of a "
-                        f"{page.size}-byte page"
+                        f"{size}-byte page"
                     )
 
     def release(self, page: Page) -> None:
         """Drop ``page`` from memory (payload stays with the caller)."""
         with self.lock:
-            if not page.in_memory:
+            offset = page.offset
+            if offset is None:
                 raise ValueError(f"page {page.page_id} is not in memory")
-            if page.pinned:
+            if page.pin_count > 0:
                 raise ValueError(
                     f"page {page.page_id} is pinned and cannot be released"
                 )
-            self._alloc.free(page.offset)
+            self._alloc.free(offset)
             page.offset = None
             del self.pages[page.page_id]
             self.stats.releases += 1
@@ -208,27 +218,31 @@ class BufferPool:
     def pin(self, page: Page) -> None:
         """Pin an in-memory page (reference counted)."""
         with self.lock:
-            if not page.in_memory:
+            if page.offset is None:
                 raise ValueError(
                     f"page {page.page_id} must be placed in memory before pinning"
                 )
-            page.pin_count += 1
-            if page.pin_count == 1 and page.shard is not None:
+            pins = page.pin_count + 1
+            page.pin_count = pins
+            shard = page.shard
+            if pins == 1 and shard is not None:
                 # Keep the shard's recency index's pinned count exact so
                 # evictability stays an O(1) query (see repro.core.recency).
-                page.shard.recency.note_pin(page)
+                shard.recency.note_pin(page)
             tracer = self.tracer
             if tracer is not None:
                 tracer.instant("pool.pin", "buffer", page_id=page.page_id,
-                               pin_count=page.pin_count)
+                               pin_count=pins)
 
     def unpin(self, page: Page) -> None:
         with self.lock:
-            if page.pin_count <= 0:
+            pins = page.pin_count
+            if pins <= 0:
                 raise ValueError(f"page {page.page_id} is not pinned")
-            page.pin_count -= 1
-            if page.pin_count == 0 and page.shard is not None:
-                page.shard.recency.note_unpin(page)
+            page.pin_count = pins - 1
+            shard = page.shard
+            if pins == 1 and shard is not None:
+                shard.recency.note_unpin(page)
 
     # ------------------------------------------------------------------
     # introspection

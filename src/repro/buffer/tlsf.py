@@ -71,9 +71,14 @@ class TlsfAllocator:
         if capacity < MIN_BLOCK_SIZE:
             raise ValueError(f"arena must be at least {MIN_BLOCK_SIZE} bytes")
         self.capacity = capacity
-        self._free_lists: dict[tuple[int, int], list[_Block]] = {}
+        #: ``(fl, sl)`` -> that bucket's free blocks, oldest first.  A
+        #: bucket is an insertion-ordered dict used as a set, so a block
+        #: leaves it in O(1) and the oldest block is still the one handed
+        #: out; emptied buckets stay, so an insert or a remove is one
+        #: bucket lookup.
+        self._free_lists: dict[tuple[int, int], dict[_Block, None]] = {}
         self._fl_bitmap = 0
-        self._sl_bitmaps: dict[int, int] = {}
+        self._sl_bitmaps = [0] * (capacity.bit_length() + 1)
         self._by_offset: dict[int, _Block] = {}
         self.used_bytes = 0
         initial = _Block(0, capacity)
@@ -85,49 +90,48 @@ class TlsfAllocator:
     # ------------------------------------------------------------------
 
     def _insert_free(self, block: _Block) -> None:
-        fl, sl = _mapping(block.size)
-        self._free_lists.setdefault((fl, sl), []).append(block)
-        self._fl_bitmap |= 1 << fl
-        self._sl_bitmaps[fl] = self._sl_bitmaps.get(fl, 0) | (1 << sl)
+        key = _mapping(block.size)
+        bucket = self._free_lists.get(key)
+        if bucket is None:
+            bucket = self._free_lists[key] = {}
+        if not bucket:
+            fl, sl = key
+            self._fl_bitmap |= 1 << fl
+            self._sl_bitmaps[fl] |= 1 << sl
+        bucket[block] = None
         block.free = True
 
     def _remove_free(self, block: _Block) -> None:
-        fl, sl = _mapping(block.size)
-        bucket = self._free_lists[(fl, sl)]
-        bucket.remove(block)
+        key = _mapping(block.size)
+        bucket = self._free_lists[key]
+        del bucket[block]
         if not bucket:
-            del self._free_lists[(fl, sl)]
-            self._sl_bitmaps[fl] &= ~(1 << sl)
-            if not self._sl_bitmaps[fl]:
-                del self._sl_bitmaps[fl]
+            fl, sl = key
+            bitmap = self._sl_bitmaps[fl] & ~(1 << sl)
+            self._sl_bitmaps[fl] = bitmap
+            if not bitmap:
                 self._fl_bitmap &= ~(1 << fl)
         block.free = False
 
-    @staticmethod
-    def _lowest_set_at_or_above(bitmap: int, start: int) -> int | None:
-        masked = bitmap & ~((1 << start) - 1)
-        if not masked:
-            return None
-        return (masked & -masked).bit_length() - 1
-
     def _find_suitable(self, size: int) -> _Block | None:
+        """The oldest block of the lowest non-empty bucket at or above the
+        search bucket (``x & -x`` isolates a bitmap's lowest set bit)."""
         fl, sl = _mapping_search(size)
-        sl_found = None
-        fl_found = None
-        if self._fl_bitmap & (1 << fl):
-            sl_found = self._lowest_set_at_or_above(self._sl_bitmaps.get(fl, 0), sl)
-            if sl_found is not None:
-                fl_found = fl
-        if sl_found is None:
-            fl_found = self._lowest_set_at_or_above(self._fl_bitmap, fl + 1)
-            if fl_found is None:
+        fl_bitmap = self._fl_bitmap
+        masked = 0
+        if fl_bitmap & (1 << fl):
+            masked = self._sl_bitmaps[fl] & (-1 << sl)
+        if not masked:
+            masked = fl_bitmap & (-1 << (fl + 1))
+            if not masked:
                 return None
-            sl_found = self._lowest_set_at_or_above(self._sl_bitmaps[fl_found], 0)
-            if sl_found is None:  # pragma: no cover - bitmap invariant
-                return None
+            fl = (masked & -masked).bit_length() - 1
+            # A set first-level bit always has a non-empty second level.
+            masked = self._sl_bitmaps[fl]
+        sl = (masked & -masked).bit_length() - 1
         # The good-fit rounding in _mapping_search guarantees every block in
         # a bucket at or above the search bucket is large enough.
-        return self._free_lists[(fl_found, sl_found)][0]
+        return next(iter(self._free_lists[(fl, sl)]))
 
     # ------------------------------------------------------------------
     # public API

@@ -98,20 +98,25 @@ class LocalShard:
 
     def new_page(self, pin: bool = True) -> Page:
         """Allocate and place a fresh page of the set's page size."""
-        with self.pool.lock:
-            page = Page(self.node.next_page_id(), self.page_size, shard=self)
-            page.created_tick = self.paging.tick()
-            page.last_access_tick = page.created_tick
-            self.paging.note_access(page)
-            self.pool.place(page)
+        node = self.node
+        pool = node.pool
+        paging = node.paging
+        dataset = self.dataset
+        with pool.lock:
+            page = Page(node.next_page_id(), dataset.page_size, shard=self)
+            tick = paging.tick()
+            page.created_tick = tick
+            page.last_access_tick = tick
+            paging.note_access(page)
+            pool.place(page)
             self.recency.insert(page)
             if pin:
-                self.pool.pin(page)
+                pool.pin(page)
             self.pages.append(page)
             self._by_id[page.page_id] = page
-            self.attributes.access_recency = page.last_access_tick
+            dataset.attributes.access_recency = tick
             self.metrics.created_pages += 1
-            tracer = self.node.tracer
+            tracer = node.tracer
             if tracer is not None:
                 tracer.instant("shard.new_page", "shard",
                                set=self.dataset.name, page_id=page.page_id)
@@ -119,18 +124,19 @@ class LocalShard:
 
     def seal_page(self, page: Page) -> None:
         """Finish writing a page; write-through sets persist it immediately."""
-        with self.pool.lock:
+        node = self.node
+        with node.pool.lock:
             page.seal()
-            tracer = self.node.tracer
-            if self.attributes.durability is DurabilityType.WRITE_THROUGH:
-                start = self.node.clock.now
+            tracer = node.tracer
+            if self.dataset.attributes.durability is DurabilityType.WRITE_THROUGH:
+                start = node.clock.now
                 self.file.write_page(page.page_id, page.records, page.size)
                 page.on_disk = True
                 page.dirty = False
-                self.paging.note_page_image(page)
+                node.paging.note_page_image(page)
                 if tracer is not None:
                     tracer.span("shard.seal", "shard", start,
-                                self.node.clock.now - start,
+                                node.clock.now - start,
                                 set=self.dataset.name, page_id=page.page_id,
                                 persisted=True)
             elif tracer is not None:
@@ -140,8 +146,9 @@ class LocalShard:
     def touch(self, page: Page) -> None:
         """Record a page access for the recency model."""
         paging = self.node.paging
-        page.last_access_tick = paging.tick()
-        self.attributes.access_recency = page.last_access_tick
+        tick = paging.tick()
+        page.last_access_tick = tick
+        self.dataset.attributes.access_recency = tick
         self.recency.touch(page)
         paging.note_access(page)
 
@@ -150,7 +157,7 @@ class LocalShard:
         pool = self.node.pool
         with pool.lock:
             self.metrics.pins += 1
-            if not page.in_memory:
+            if page.offset is None:
                 if not page.on_disk:
                     raise ValueError(
                         f"page {page.page_id} of set {self.dataset.name!r} is "
@@ -169,7 +176,7 @@ class LocalShard:
                 pool.stats.bytes_paged_in += page.size
                 self.metrics.misses += 1
                 self.metrics.bytes_paged_in += page.size
-                if self.attributes.reading_pattern is ReadingPattern.RANDOM_READ:
+                if self.dataset.attributes.reading_pattern is ReadingPattern.RANDOM_READ:
                     self.charge_reread_penalty(page)
                 tracer = self.node.tracer
                 if tracer is not None:
@@ -191,7 +198,7 @@ class LocalShard:
             )
 
     def unpin_page(self, page: Page) -> None:
-        self.pool.unpin(page)
+        self.node.pool.unpin(page)
 
     def stored_records(self, page: Page) -> list:
         """The page's records, or else its disk image decoded metadata-side
@@ -302,50 +309,62 @@ class LocalShard:
         ground truth the ``shard.evict`` trace instant records, beside the
         page's dirty bit before the flush (``was_dirty``) — a dirty page
         whose image was already persisted is *not* reported as flushed.
+
+        One pass validates the whole batch before anything is touched and
+        picks the pages to flush; their images are written and recorded,
+        and then one pass releases every page.  Each counter moves once
+        per batch, by the batch's totals.
         """
-        with self.pool.lock:
+        node = self.node
+        pool = node.pool
+        with pool.lock:
+            alive = self.dataset.attributes.alive
+            marks: "list[tuple[bool, bool]]" = []  # (was_dirty, flushed)
+            flush: "list[Page]" = []
             for page in pages:
-                if page.pinned:
+                if page.pin_count > 0:
                     raise ValueError(f"cannot evict pinned page {page.page_id}")
-                if not page.in_memory:
+                if page.offset is None:
                     raise ValueError(f"page {page.page_id} is not in memory")
-            alive = self.attributes.alive
-            was_dirty = [p.dirty for p in pages]
-            flushed = [
-                dirty and alive and not p.on_disk
-                for p, dirty in zip(pages, was_dirty)
-            ]
-            flush = [p for p, must_flush in zip(pages, flushed) if must_flush]
-            start = self.node.clock.now
-            self.file.write_many([(p.page_id, p.records, p.size) for p in flush])
-            for page in flush:
-                page.on_disk = True
-                page.dirty = False
-                self.pool.stats.pageouts += 1
-                self.pool.stats.bytes_paged_out += page.size
-                self.metrics.flushed_pages += 1
-                self.metrics.flushed_bytes += page.size
-                self.paging.note_page_image(page)
-            tracer = self.node.tracer
-            if tracer is not None and flush:
-                tracer.span("shard.flush_batch", "paging", start,
-                            self.node.clock.now - start,
-                            set=self.dataset.name, pages=len(flush),
-                            nbytes=sum(p.size for p in flush))
+                dirty = page.dirty
+                must_flush = dirty and alive and not page.on_disk
+                marks.append((dirty, must_flush))
+                if must_flush:
+                    flush.append(page)
+            tracer = node.tracer
+            if flush:
+                start = node.clock.now
+                self.file.write_many([(p.page_id, p.records, p.size) for p in flush])
+                paging = node.paging
+                for page in flush:
+                    page.on_disk = True
+                    page.dirty = False
+                    paging.note_page_image(page)
+                flushed_bytes = sum(p.size for p in flush)
+                pool.stats.pageouts += len(flush)
+                pool.stats.bytes_paged_out += flushed_bytes
+                self.metrics.flushed_pages += len(flush)
+                self.metrics.flushed_bytes += flushed_bytes
+                if tracer is not None:
+                    tracer.span("shard.flush_batch", "paging", start,
+                                node.clock.now - start,
+                                set=self.dataset.name, pages=len(flush),
+                                nbytes=flushed_bytes)
+            recency = self.recency
             results: "list[EvictResult]" = []
-            for page, dirty, must_flush in zip(pages, was_dirty, flushed):
+            for page, (dirty, must_flush) in zip(pages, marks):
                 freed = page.size
-                self.pool.release(page)
-                self.recency.remove(page)
+                pool.release(page)
+                recency.remove(page)
                 page.records = []
-                self.pool.stats.evictions += 1
-                self.metrics.evictions += 1
                 if tracer is not None:
                     tracer.instant("shard.evict", "paging",
                                    set=self.dataset.name, page_id=page.page_id,
                                    was_dirty=dirty, flushed=must_flush,
                                    nbytes=freed)
                 results.append(EvictResult(freed=freed, flushed=must_flush))
+            pool.stats.evictions += len(pages)
+            self.metrics.evictions += len(pages)
             return results
 
     def drop_page(self, page: Page) -> None:
@@ -373,10 +392,6 @@ class LocalShard:
     def resident_unpinned_pages(self) -> list[Page]:
         with self.pool.lock:
             return [p for p in self.pages if p.in_memory and not p.pinned]
-
-    def resident_pages(self) -> list[Page]:
-        with self.pool.lock:
-            return [p for p in self.pages if p.in_memory]
 
     @property
     def num_objects(self) -> int:

@@ -140,9 +140,10 @@ class PagingSystem:
         with self._lock:
             tracer = self.tracer
             start = tracer.now if tracer is not None else 0.0
-            self.policy.last_decision = None
-            victims = self.policy.select_victims(self._shards, needed_bytes)
-            decision = getattr(self.policy, "last_decision", None)
+            policy = self._policy
+            policy.last_decision = None
+            victims = policy.select_victims(self._shards, needed_bytes)
+            decision = getattr(policy, "last_decision", None)
             if decision is not None:
                 # The data-aware policy exposes the cost-model evaluation
                 # behind its choice; feed it to the victim set's registry
@@ -155,7 +156,7 @@ class PagingSystem:
                         cost=breakdown.total, cw=breakdown.cw,
                         vr=breakdown.vr, wr=breakdown.wr,
                         preuse=breakdown.preuse, age=breakdown.age,
-                        policy=self.policy.name,
+                        policy=policy.name,
                     )
             if not victims:
                 return False
@@ -163,8 +164,10 @@ class PagingSystem:
             # left memory between selection and eviction are skipped.
             valid = [
                 page for page in victims
-                if page.shard is not None and page.in_memory and not page.pinned
+                if page.shard is not None and page.offset is not None
+                and page.pin_count == 0
             ]
+            stats = self.stats
             evicted = 0
             freed_bytes = 0
             # Evict runs of consecutive same-set victims as one batch so
@@ -174,27 +177,27 @@ class PagingSystem:
             i = 0
             while i < len(valid):
                 shard = valid[i].shard
-                j = i
+                j = i + 1
                 while j < len(valid) and valid[j].shard is shard:
                     j += 1
                 for result in shard.evict_pages(valid[i:j]):
                     freed_bytes += result.freed
                 evicted += j - i
-                self.stats.pages_evicted += j - i
+                stats.pages_evicted += j - i
                 i = j
             if evicted == 0:
                 return False
-            self.stats.eviction_rounds += 1
+            stats.eviction_rounds += 1
             if tracer is not None:
                 tracer.span("paging.make_room", "paging", start,
                             tracer.now - start, needed_bytes=needed_bytes,
                             evicted=evicted, freed_bytes=freed_bytes,
-                            policy=self.policy.name)
+                            policy=policy.name)
                 tracer.counter(
                     "paging.index", "paging",
-                    rebuilds=self.stats.index_rebuilds,
-                    cost_cache_hits=self.stats.cost_cache_hits,
-                    cost_cache_misses=self.stats.cost_cache_misses,
+                    rebuilds=stats.index_rebuilds,
+                    cost_cache_hits=stats.cost_cache_hits,
+                    cost_cache_misses=stats.cost_cache_misses,
                 )
             return True
 

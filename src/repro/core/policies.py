@@ -63,7 +63,7 @@ def set_strategy(shard: "LocalShard") -> str:
     MRU for ``sequential-write``/``concurrent-write``/``sequential-read``,
     LRU for ``random-mutable-write``/``random-read``.
     """
-    attrs = shard.attributes
+    attrs = shard.dataset.attributes
     reading = attrs.reading_pattern
     writing = attrs.writing_pattern
     if attrs.current_operation is CurrentOperation.READ and reading is not None:
@@ -96,12 +96,13 @@ def victim_batch(shard: "LocalShard") -> list[Page]:
     anyway, so the walk is proportional to the work.
     """
     recency = shard.recency
-    if shard.attributes.lifetime_ended:
+    attrs = shard.dataset.attributes
+    if attrs.lifetime_ended:
         return shard.resident_unpinned_pages()
     evictable = recency.evictable_count()
     if evictable <= 0:
         return []
-    op = shard.attributes.current_operation
+    op = attrs.current_operation
     if op in (CurrentOperation.WRITE, CurrentOperation.READ_AND_WRITE):
         victim = next_victim(shard)
         return [victim] if victim is not None else []
@@ -175,7 +176,7 @@ def _cost_cache_key(shard: "LocalShard", page: Page) -> tuple:
     set share one entry, and so is the paging tick: only the ``preuse``
     factor depends on it, and that is recomputed every round.
     """
-    attrs = shard.attributes
+    attrs = shard.dataset.attributes
     return (
         page.size,
         page.dirty,
@@ -222,7 +223,9 @@ class DataAwarePolicy(PagingPolicy):
 
     Every round scores each candidate set's next victim by
     ``cw + preuse * cr`` at the current paging tick and takes the
-    cheapest.  The tick-independent terms ``(cw, vr, wr)`` are cached on
+    cheapest.  Candidates are scored as plain totals; only the winner's
+    :class:`CostBreakdown` is built, for :attr:`last_decision`.  The
+    tick-independent terms ``(cw, vr, wr)`` are cached on
     ``shard.cost_terms`` keyed by :func:`_cost_cache_key`, so a set whose
     next victim looks like the last one (same size, dirty/on-disk bits
     and set attributes) costs a tuple comparison instead of two disk-model
@@ -248,38 +251,43 @@ class DataAwarePolicy(PagingPolicy):
         candidates = [s for s in shards if s.recency.evictable_count() > 0]
         if not candidates:
             return []
-        dead = [s for s in candidates if s.attributes.lifetime_ended]
+        dead = [s for s in candidates if s.dataset.attributes.lifetime_ended]
         if dead:
             candidates = dead
-        paging = candidates[0].paging
+        paging = candidates[0].node.paging
         now = paging.current_tick
-        paging.stats.index_rebuilds += 1
-        best = None
+        stats = paging.stats
+        stats.index_rebuilds += 1
+        horizon = self.horizon
+        best = best_total = None
         for shard in candidates:
-            breakdown = self._score(shard, now, paging)
-            if best is None or breakdown.total < best[1].total:
-                best = (shard, breakdown)
-        self.last_decision = best
-        return victim_batch(best[0])
-
-    def _score(self, shard: "LocalShard", now: int, paging) -> CostBreakdown:
-        """One candidate set's expected eviction cost at tick ``now``."""
-        victim = next_victim(shard)
-        key = _cost_cache_key(shard, victim)
-        cached = shard.cost_terms
-        if cached is not None and cached[0] == key:
-            cw, vr, wr = cached[1]
-            shard.metrics.cost_cache_hits += 1
-            paging.stats.cost_cache_hits += 1
-        else:
-            cw, vr, wr = _cost_terms(shard, victim)
-            shard.cost_terms = (key, (cw, vr, wr))
-            shard.metrics.cost_cache_misses += 1
-            paging.stats.cost_cache_misses += 1
-        age = now - victim.last_access_tick
-        return CostBreakdown(
-            cw=cw, vr=vr, wr=wr, preuse=_preuse(age, self.horizon), age=max(0, age)
+            victim = next_victim(shard)
+            key = _cost_cache_key(shard, victim)
+            cached = shard.cost_terms
+            if cached is not None and cached[0] == key:
+                terms = cached[1]
+                shard.metrics.cost_cache_hits += 1
+                stats.cost_cache_hits += 1
+            else:
+                terms = _cost_terms(shard, victim)
+                shard.cost_terms = (key, terms)
+                shard.metrics.cost_cache_misses += 1
+                stats.cost_cache_misses += 1
+            cw, vr, wr = terms
+            age = now - victim.last_access_tick
+            preuse = _preuse(age, horizon)
+            # CostBreakdown.total's arithmetic; strict < keeps the first
+            # registered of equally cheap sets.
+            total = cw + preuse * vr * wr
+            if best is None or total < best_total:
+                best = (shard, terms, preuse, age)
+                best_total = total
+        shard, (cw, vr, wr), preuse, age = best
+        self.last_decision = (
+            shard,
+            CostBreakdown(cw=cw, vr=vr, wr=wr, preuse=preuse, age=max(0, age)),
         )
+        return victim_batch(shard)
 
 
 class GlobalLruPolicy(PagingPolicy):

@@ -289,8 +289,9 @@ class VirtualHashBuffer:
         ``ENTRY_OVERHEAD``), growing the root until it fits.  An entry
         costs a whole number of ticks, so summing them per root and
         advancing each clock once leaves it exactly where charging entry
-        by entry does.  A closed buffer raises :class:`RuntimeError`
-        before anything is touched.
+        by entry does; combines all cost the same, so each root counts
+        them and is charged ``count * record_ticks(0, 1, 1.5)``.  A closed
+        buffer raises :class:`RuntimeError` before anything is touched.
         """
         if self._finalized:
             raise RuntimeError("hash buffer already finalized")
@@ -304,7 +305,7 @@ class VirtualHashBuffer:
         # aggregation keys repeat heavily and stable_hash is pure Python.
         route = self._route_cache
         ticks = [0] * self.num_roots
-        combines = 0
+        combined = [0] * self.num_roots
         try:
             for key, value, nbytes in entries:
                 cached = route.get(key)
@@ -318,8 +319,7 @@ class VirtualHashBuffer:
                     if combiner is not None:
                         value = combiner(existing[0], value)
                     part.table[key] = (value, existing[1], existing[2])
-                    combines += 1
-                    entry_bytes = 0
+                    combined[index] += 1
                 else:
                     if nbytes is None:
                         nbytes = estimate_bytes(key) + estimate_bytes(value)
@@ -331,10 +331,11 @@ class VirtualHashBuffer:
                     part.table[key] = (value, sub, entry_bytes)
                     part.sync_page_accounting()
                     self.stats.inserts += 1
-                ticks[index] += cpus[index].record_ticks(entry_bytes, 1, 1.5)
+                    ticks[index] += cpus[index].record_ticks(entry_bytes, 1, 1.5)
         finally:
-            self.stats.combines += combines
-            for cpu, total in zip(cpus, ticks):
+            self.stats.combines += sum(combined)
+            for cpu, total, count in zip(cpus, ticks, combined):
+                total += count * cpu.record_ticks(0, 1, 1.5)
                 if total and cpu.clock is not None:
                     cpu.clock.advance_ticks(total)
 

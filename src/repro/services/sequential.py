@@ -116,20 +116,22 @@ class SequentialWriter:
     # ------------------------------------------------------------------
 
     def _current_page(self, nbytes: int) -> Page:
-        if self._page is not None and self._page.free_bytes < nbytes:
-            fire_point(self.shard.node, "mid-write")
-            self.shard.seal_page(self._page)
-            self.shard.unpin_page(self._page)
-            self._page = None
-        if self._page is None:
+        shard = self.shard
+        page = self._page
+        if page is not None and page.size - page.used_bytes < nbytes:
+            fire_point(shard.node, "mid-write")
+            shard.seal_page(page)
+            shard.node.pool.unpin(page)
+            page = self._page = None
+        if page is None:
             # A node that crashed (at the seal above or elsewhere) cannot
             # pin the next page: the write fails here.
-            _check_alive(self.shard)
+            _check_alive(shard)
             # The data proxy exchanges a PinPage message with the storage
             # process before writing through shared memory (paper Fig. 2).
-            self.shard.node.network.message(2)
-            self._page = self.shard.new_page(pin=True)
-        return self._page
+            shard.node.network.message(2)
+            page = self._page = shard.new_page(pin=True)
+        return page
 
     def add_object(self, record: object, nbytes: int | None = None) -> None:
         """Sequential-write one record."""
@@ -267,8 +269,9 @@ class PageIterator:
             cursor.active_iterators += 1
 
     def next(self) -> Page | None:
-        if self._current is not None:
-            self._current.shard.unpin_page(self._current)
+        current = self._current
+        if current is not None:
+            current.shard.node.pool.unpin(current)
             self._current = None
         if self._done:
             return None
@@ -278,12 +281,13 @@ class PageIterator:
             self._cursor.iterator_done()
             return None
         shard = page.shard
+        node = shard.node
         # Page metadata flows through the circular buffer (one socket
         # message per pinned page, paper Fig. 2).
-        fire_point(shard.node, "mid-scan")
-        shard.node.network.message(1)
+        fire_point(node, "mid-scan")
+        node.network.message(1)
         shard.pin_page(page)
-        shard.node.cpu.per_object(page.num_objects, workers=self._workers)
+        node.cpu.per_object(page.num_objects, workers=self._workers)
         self._current = page
         return page
 

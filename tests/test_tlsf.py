@@ -111,6 +111,21 @@ class TestTlsfBasics:
         for (o1, s1), (o2, _s2) in zip(regions, regions[1:]):
             assert o1 + s1 <= o2
 
+    def test_a_bucket_hands_out_its_oldest_free_block_first(self):
+        alloc = TlsfAllocator(1 << 16)
+        # Blocks of one bucket, kept apart by allocated separators so that
+        # freeing them coalesces nothing.
+        blocks = []
+        for _ in range(3):
+            blocks.append(alloc.malloc(1024))
+            alloc.malloc(256)
+        # The rest of the arena is one block in a higher bucket.
+        freed = [blocks[1], blocks[0], blocks[2]]
+        for offset in freed:
+            alloc.free(offset)
+        assert [alloc.malloc(1024) for _ in freed] == freed
+        alloc.check_invariants()
+
     def test_invariants_after_mixed_ops(self):
         alloc = TlsfAllocator(1 << 16)
         live = []
