@@ -1,12 +1,14 @@
-"""Per-node stage execution on real threads.
+"""Per-node stage execution: the driver thread plus one thread per other node.
 
 The query scheduler's stages are embarrassingly parallel across nodes:
 every task touches only its own node's shards, clock, CPU and network
 (remote shuffle flushes credit the peer's *stats*, never its clock), and
-the storage path is thread-safe.  Running one thread per node
-therefore charges exactly the simulated costs of the serial loop — each
-node's charge sequence is untouched, only the wall-clock interleaving
-changes — which is what the golden suite pins down.
+the storage path is thread-safe.  The executor starts one thread for
+every node but the lowest, runs the lowest node's task on the calling
+thread, then joins the others.  Each node's charge sequence is untouched,
+only the wall-clock interleaving changes, so this charges exactly the
+simulated costs of the serial loop — which is what the golden suite pins
+down.
 
 The executor runs the serial loop, in node order, when any node has an
 enabled fault injector: rate-based faults draw from one shared seeded RNG
@@ -28,15 +30,17 @@ class StageExecutor:
     """Run one thunk per worker node, concurrently when that is safe.
 
     ``run`` takes ``{node_id: thunk}`` and returns ``{node_id: result}``
-    in sorted node order.  Exceptions propagate: the lowest-node failure
-    re-raises after every thread has joined.  When a node has a tracer
-    attached, each task is wrapped in one ``query.stage`` span stamped
-    off that node's simulated clock.
+    in sorted node order.  The lowest node's thunk runs on the calling
+    thread and every other one on a thread of its own.  Exceptions
+    propagate: the lowest-node failure re-raises after every thread has
+    joined, also when it is the calling thread's own task that failed.
+    When a node has a tracer attached, each task is wrapped in one
+    ``query.stage`` span stamped off that node's simulated clock.
     """
 
     def __init__(self, cluster: "PangeaCluster") -> None:
         self.cluster = cluster
-        #: Whether the most recent :meth:`run` used threads.
+        #: Whether the most recent :meth:`run` ran tasks concurrently.
         self.last_parallel = False
 
     def _faults_active(self) -> bool:
@@ -75,10 +79,11 @@ class StageExecutor:
                 args=(node_id, tasks[node_id]),
                 name=f"stage-{stage}-n{node_id}",
             )
-            for node_id in order
+            for node_id in order[1:]
         ]
         for thread in threads:
             thread.start()
+        work(order[0], tasks[order[0]])
         for thread in threads:
             thread.join()
         if errors:

@@ -6,8 +6,8 @@ costs of a record-at-a-time loop against the same per-node clocks.
 Per-record charges are whole clock ticks, so a chunk's charge equals the
 sum of its records' charges and batching changes only wall-clock speed.
 ``tests/test_query_golden.py`` checks the whole engine against pinned
-results, and the kernel tests check ``BatchStepRunner`` against
-:func:`repro.query.pipeline.run_steps`.
+results, and the kernel tests pin ``BatchStepRunner`` in closed form
+(see its docstring) against a per-record reference.
 
 The batched kernels assume the step/key/merge functions are pure (the
 same assumption the cost model already makes): a batch applies one step
@@ -83,12 +83,14 @@ class RecordBatch:
 
 
 class BatchStepRunner:
-    """Vectorized filter/map/flatmap with ``run_steps``' exact charges.
+    """Vectorized filter/map/flatmap, charged in closed form.
 
-    ``run_steps`` charges ``per_object`` for ``max(1, len(steps))`` units
-    per input record.  Per-object charges are whole ticks per unit, so
-    charging each fed chunk's units directly lands the node clock on
-    ``run_steps``' reading for any chunking of the same record stream.
+    Every input record costs ``max(1, len(steps))`` ``per_object`` units,
+    whatever the steps keep or emit.  Per-object charges are whole ticks
+    per unit, so charging each fed chunk's units directly advances the
+    node clock by exactly ``per_object(records * max(1, len(steps)))`` for
+    any chunking of the same record stream, and the output is the
+    record-at-a-time one.
     """
 
     def __init__(self, node: "WorkerNode", steps: list) -> None:
@@ -103,8 +105,9 @@ class BatchStepRunner:
     def feed(self, records: list) -> list:
         """Run one chunk through the steps; returns the surviving records.
 
-        With no steps the input list is returned as-is (callers own their
-        chunks); otherwise a fresh list is built per step.
+        The input is never mutated: with no steps it is returned as-is
+        (callers own their chunks), otherwise a fresh list is built per
+        step.
         """
         if self._finished:
             raise RuntimeError("runner already finished")
@@ -115,9 +118,9 @@ class BatchStepRunner:
             if not data:
                 break
             if kind == "filter":
-                data = [record for record in data if fn(record)]
+                data = list(filter(fn, data))
             elif kind == "map":
-                data = [fn(record) for record in data]
+                data = list(map(fn, data))
             else:  # flatmap
                 out: list = []
                 extend = out.extend

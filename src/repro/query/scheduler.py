@@ -16,7 +16,8 @@ The scheduler walks a logical plan and chooses physical strategies:
 
 Every physical stage runs batch-at-a-time kernels from
 :mod:`repro.query.batch`, one task per node, through
-:class:`repro.compute.stages.StageExecutor` (on real threads, or serially
+:class:`repro.compute.stages.StageExecutor` (the lowest node's task on the
+calling thread and each other node's on a thread of its own, or serially
 in node order under an enabled fault injector).  The kernels charge the
 simulated costs of a record-at-a-time loop in whole clock ticks, so
 results, simulated seconds, strategy decisions and fault schedules match
@@ -244,7 +245,7 @@ class QueryScheduler:
         out: list = []
         for iterator in make_shard_iterators(shard, 1):
             for page in iterator:
-                out.extend(runner.feed(list(page.records)))
+                out.extend(runner.feed(page.records))
         runner.finish()
         return out, runner.batches, runner.records_in
 

@@ -406,10 +406,23 @@ class VirtualHashBuffer:
                         f"in the buffer pool even after {rounds - 1} "
                         f"re-aggregation rounds"
                     )
-                page = root.spilled_pages.pop(0)
-                records = self._read_spilled(root, page)
-                if page in root.shard.pages and not page.pinned:
-                    root.shard.drop_page(page)
+                # A combiner folds one partial at a time into the live
+                # tables.  Without one the newest value wins: take every
+                # spill, a later one over an earlier one, and skip the live
+                # keys (a live value is newer than any spill).  Each key
+                # then has one home, so spilling again cannot revive a
+                # stale value.
+                count = 1 if self.combiner is not None else len(root.spilled_pages)
+                pages = root.spilled_pages[:count]
+                del root.spilled_pages[:count]
+                records: list = []
+                for page in pages:
+                    records.extend(self._read_spilled(root, page))
+                    if page in root.shard.pages and not page.pinned:
+                        root.shard.drop_page(page)
+                if self.combiner is None:
+                    live = {key for part in root.live_pages() for key in part.table}
+                    records = list({r[0]: r for r in records if r[0] not in live}.values())
                 self._write(records, combine=True)
         self._detach()
 
@@ -420,25 +433,33 @@ class VirtualHashBuffer:
         spilled partials merge in transient memory (the paper's final
         aggregation stage streams its output onward), so results larger
         than the buffer pool still complete — just slowly, because every
-        spilled page is re-read and rebuilt.
+        spilled page is re-read and rebuilt.  A combiner folds the live
+        value first, then each spill in spill order; without one the
+        newest value wins.
         """
         self._detach()
+        combiner = self.combiner
         for root in self.roots:
-            node = root.shard.node
-            merged: dict = {}
-            for part in root.live_pages():
-                for key, (value, _sub, _nbytes) in part.table.items():
-                    if key in merged and self.combiner is not None:
-                        merged[key] = self.combiner(merged[key], value)
-                    else:
-                        merged[key] = value
-            for page in root.spilled_pages:
-                for key, value, _nbytes in self._read_spilled(root, page):
-                    if key in merged and self.combiner is not None:
-                        merged[key] = self.combiner(merged[key], value)
-                    else:
-                        merged[key] = value
-            node.cpu.per_object(len(merged))
+            live = (
+                (key, entry[0])
+                for part in root.live_pages()
+                for key, entry in part.table.items()
+            )
+            spilled = (
+                (key, value)
+                for page in root.spilled_pages
+                for key, value, _nbytes in self._read_spilled(root, page)
+            )
+            if combiner is None:
+                # The newest value wins: every spill is older than the live
+                # tables, and a later spill is newer than an earlier one.
+                merged = dict(spilled)
+                merged.update(live)
+            else:
+                merged = {}
+                for key, value in itertools.chain(live, spilled):
+                    merged[key] = combiner(merged[key], value) if key in merged else value
+            root.shard.node.cpu.per_object(len(merged))
             yield from merged.items()
 
     def __len__(self) -> int:

@@ -13,7 +13,7 @@ Q12, Q13, Q14, Q17 and Q22 can run as co-partitioned, shuffle-free joins.
 from __future__ import annotations
 
 import typing
-from operator import itemgetter
+from operator import add, itemgetter
 
 from repro.query.operators import ScanNode
 from repro.tpch import reference as ref
@@ -94,7 +94,7 @@ def run_q01(scheduler: "QueryScheduler") -> list[dict]:
         )
 
     def merge(a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def final(key: tuple, acc: tuple) -> dict:
         qty, base, disc, charge, discount, count = acc

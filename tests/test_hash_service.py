@@ -274,3 +274,53 @@ class TestDistributedBuffer:
             buffer.insert(i % 10, 1, nbytes=60)
         result = dict(buffer.items())
         assert all(result[k] == 100 for k in range(10))
+
+
+class TestNewestValueWins:
+    """Without a combiner the newest value wins, also once pages spill:
+    live tables over spilled partials, a later spill over an earlier one."""
+
+    def test_items_after_spills(self):
+        buffer = make_buffer(make_cluster(pool=4 * MB))
+        keys = list(range(60000))
+        buffer.insert_many(keys, ["old"] * 60000, nbytes=68)
+        buffer.insert_many(keys, ["new"] * 60000, nbytes=68)
+        assert buffer.stats.spills > 0
+        assert dict(buffer.items()) == dict.fromkeys(keys, "new")
+
+    def test_finalize_after_spills(self):
+        # Two pinned ballast pages squeeze the buffer into the rest of the
+        # pool while it is written; once they go, the whole map fits.
+        cluster = make_cluster(pool=4 * MB)
+        ballast = cluster.create_set("b", durability="write-back", page_size=1 * MB)
+        shard = ballast.shards[0]
+        pages = [shard.new_page(pin=True) for _ in range(2)]
+        buffer = make_buffer(cluster)
+        keys = list(range(22000))
+        buffer.insert_many(keys, ["old"] * 22000, nbytes=68)
+        buffer.insert_many(keys, ["new"] * 22000, nbytes=68)
+        for page in pages:
+            shard.unpin_page(page)
+        ballast.end_lifetime()
+        cluster.drop_set("b")
+        assert buffer.stats.spills > 0
+        buffer.finalize()
+        assert all(not root.spilled_pages for root in buffer.roots)
+        assert all(buffer.find(key) == "new" for key in keys)
+        assert dict(buffer.items()) == dict.fromkeys(keys, "new")
+
+    @pytest.mark.parametrize("finalize", [False, True])
+    def test_a_later_spill_beats_an_earlier_one(self, finalize):
+        buffer = make_buffer(make_cluster(pool=4 * MB), roots=1)
+        root = buffer.roots[0]
+        for value in ("first", "second"):
+            buffer.insert("k", value, nbytes=68)
+            buffer.insert(value, value, nbytes=68)
+            root.spill_one()
+        buffer.insert("first", "live", nbytes=68)
+        assert len(root.spilled_pages) == 2
+        if finalize:
+            buffer.finalize()
+            assert not root.spilled_pages
+        assert dict(buffer.items()) == {"k": "second", "first": "live", "second": "second"}
+

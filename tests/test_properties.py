@@ -4,6 +4,7 @@ import copy
 import pickle
 from collections import Counter
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -601,22 +602,93 @@ def test_batch_step_runner_equals_run_steps_for_any_chunking(records, names, chu
     assert batch.clock.ticks == legacy.clock.ticks
 
 
-def _hash_run(keys, chunk_sizes, nbytes, batched):
+def _record_at_a_time(records, steps) -> list:
+    """The per-record reference: each record runs every step before the
+    next record starts, and a flatmap's outputs run the rest one by one."""
+    out: list = []
+
+    def push(record, index):
+        if index == len(steps):
+            out.append(record)
+            return
+        kind, fn = steps[index]
+        if kind == "filter":
+            if fn(record):
+                push(record, index + 1)
+        elif kind == "map":
+            push(fn(record), index + 1)
+        else:
+            for item in fn(record):
+                push(item, index + 1)
+
+    for record in records:
+        push(record, 0)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=1000), max_size=3000),
+    st.lists(st.sampled_from(sorted(_STEP_MENU)), max_size=4),
+    st.lists(st.integers(min_value=0, max_value=2500), min_size=1, max_size=5),
+)
+def test_batch_step_runner_charges_its_closed_form(records, names, chunk_sizes):
+    """Any chunking yields the per-record output and advances the clock by
+    exactly ``len(records) * max(1, len(steps))`` ``per_object`` units."""
+    assume(any(chunk_sizes))
+    steps = [_STEP_MENU[name] for name in names]
+    profile = _odd_profile()
+    node = PangeaCluster(num_nodes=1, profile=profile).nodes[0]
+    reference = PangeaCluster(num_nodes=1, profile=profile).nodes[0]
+    reference.cpu.per_object(len(records) * max(1, len(steps)))
+    chunks = _chunks(records, chunk_sizes)
+    runner = BatchStepRunner(node, steps)
+    out: list = []
+    with patch("repro.query.pipeline.run_steps", side_effect=AssertionError):
+        for chunk in chunks:
+            out.extend(runner.feed(chunk))
+    runner.finish()
+    assert out == _record_at_a_time(records, steps)
+    assert node.clock.ticks == reference.clock.ticks
+    assert (runner.batches, runner.records_in) == (len(chunks), len(records))
+
+
+class _CombineFailed(Exception):
+    pass
+
+
+def _hash_run(keys, chunk_sizes, nbytes, batched, failing_combines=()):
+    """Write ``keys`` a chunk at a time, batched or one ``insert`` per
+    entry; the combiner raises on the given (1-based) calls, which ends
+    that chunk either way.  Returns the failures, ticks, stats and pairs."""
     cluster = PangeaCluster(num_nodes=2, profile=_odd_profile(1 * MB))
     data = cluster.create_set("h", durability="write-back", page_size=64 * KB)
-    buffer = VirtualHashBuffer(data, num_root_partitions=3, combiner=lambda a, b: a + b)
-    values = list(range(len(keys)))
-    if batched:
-        for chunk in _chunks(list(zip(keys, values)), chunk_sizes):
-            buffer.insert_many([k for k, _ in chunk], [v for _, v in chunk], nbytes=nbytes)
-    else:
-        for key, value in zip(keys, values):
-            buffer.insert(key, value, nbytes=nbytes)
+    combines = 0
+
+    def combine(a, b):
+        nonlocal combines
+        combines += 1
+        if combines in failing_combines:
+            raise _CombineFailed(combines)
+        return a + b
+
+    buffer = VirtualHashBuffer(data, num_root_partitions=3, combiner=combine)
+    failures = 0
+    for chunk in _chunks(list(zip(keys, range(len(keys)))), chunk_sizes):
+        try:
+            if batched:
+                buffer.insert_many([k for k, _ in chunk], [v for _, v in chunk], nbytes=nbytes)
+            else:
+                for key, value in chunk:
+                    buffer.insert(key, value, nbytes=nbytes)
+        except _CombineFailed:
+            failures += 1
+    failing_combines = ()
     ticks = _ticks(cluster)
     stats = copy.copy(buffer.stats)
     pairs = sorted(buffer.items())
     buffer.release()
-    return ticks, stats, pairs, _ticks(cluster)
+    return failures, ticks, stats, pairs, _ticks(cluster)
 
 
 @settings(max_examples=25, deadline=None)
@@ -624,13 +696,23 @@ def _hash_run(keys, chunk_sizes, nbytes, batched):
     st.lists(st.integers(min_value=0, max_value=600), max_size=1500),
     st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=5),
     st.sampled_from([None, 16, 200, 3000]),
+    st.sampled_from([(), (1,), (7, 150)]),
 )
-def test_insert_many_equals_a_loop_of_insert(keys, chunk_sizes, nbytes):
+def test_insert_many_equals_a_loop_of_insert(keys, chunk_sizes, nbytes, failing):
     """Same clocks (in ticks), stats and final pairs, also when pages
-    split and spill and the roots live on two nodes."""
-    assert _hash_run(keys, chunk_sizes, nbytes, True) == _hash_run(
-        keys, chunk_sizes, nbytes, False
+    split and spill, the roots live on two nodes and a combine raises."""
+    assert _hash_run(keys, chunk_sizes, nbytes, True, failing) == _hash_run(
+        keys, chunk_sizes, nbytes, False, failing
     )
+
+
+def test_insert_many_equals_a_loop_of_insert_when_a_combine_raises_mid_batch():
+    keys = [(i * 7919) % 1000 for i in range(4000)]
+    batched = _hash_run(keys, [300], 3000, True, failing_combines={40, 250})
+    failures, _ticks, stats, _pairs, _after = batched
+    assert failures == 2
+    assert stats.splits > 0 and stats.spills > 0 and stats.combines > 0
+    assert batched == _hash_run(keys, [300], 3000, False, failing_combines={40, 250})
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,9 @@ here each kernel is checked in isolation against per-record reference
 code, on identically-built twin clusters.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro import MachineProfile, PangeaCluster
@@ -341,6 +344,85 @@ class TestStageExecutor:
         spans = [e for e in tracer.events if e.name == "query.stage"]
         assert len(spans) == 2
         assert {e.args["stage"] for e in spans} == {"probe"}
+
+
+class _Halt(BaseException):
+    """A non-``Exception`` failure, like ``KeyboardInterrupt``."""
+
+
+class TestStageExecutorThreads:
+    """The lowest node's task runs on the calling thread, every other task
+    on a thread of its own, and a failure surfaces only once all joined."""
+
+    @staticmethod
+    def _recording_tasks(node_ids, fail=(), error=RuntimeError, delay=0.05):
+        """Tasks that record their thread; the threaded ones finish late,
+        so a failure raised before the joins would find them unfinished."""
+        caller = threading.current_thread()
+        ran, finished = {}, []
+
+        def task(node_id):
+            ran[node_id] = threading.current_thread()
+            if ran[node_id] is not caller:
+                time.sleep(delay)
+            if node_id in fail:
+                raise error(f"boom-{node_id}")
+            finished.append(node_id)
+            return node_id * 10
+
+        return {nid: (lambda n=nid: task(n)) for nid in node_ids}, ran, finished
+
+    @staticmethod
+    def _started_alive(ran) -> bool:
+        """Whether a thread the executor started is still running."""
+        caller = threading.current_thread()
+        return any(t.is_alive() for t in ran.values() if t is not caller)
+
+    def test_lowest_node_runs_on_the_calling_thread(self):
+        executor = StageExecutor(tiny_cluster(num_nodes=4))
+        tasks, ran, _ = self._recording_tasks([3, 1, 2])
+        results = executor.run("t", tasks)
+        assert list(results.items()) == [(1, 10), (2, 20), (3, 30)]
+        assert executor.last_parallel
+        caller = threading.current_thread()
+        assert ran[1] is caller
+        others = [ran[2], ran[3]]
+        assert all(thread is not caller for thread in others)
+        assert others[0] is not others[1]
+        assert [thread.name for thread in others] == ["stage-t-n2", "stage-t-n3"]
+        assert not self._started_alive(ran)
+
+    @pytest.mark.parametrize(
+        "fail, raised",
+        [((0,), "boom-0"), ((2,), "boom-2"), ((0, 2), "boom-0"), ((1, 2), "boom-1")],
+        ids=["inline", "threaded", "both", "two-threaded"],
+    )
+    def test_lowest_failure_reraised_after_every_join(self, fail, raised):
+        executor = StageExecutor(tiny_cluster(num_nodes=3))
+        tasks, ran, finished = self._recording_tasks(range(3), fail=fail)
+        with pytest.raises(RuntimeError, match=raised):
+            executor.run("t", tasks)
+        assert sorted(ran) == [0, 1, 2]
+        assert sorted(finished) == sorted(set(range(3)) - set(fail))
+        assert not self._started_alive(ran)
+
+    def test_inline_base_exception_waits_for_the_joins(self):
+        executor = StageExecutor(tiny_cluster(num_nodes=3))
+        tasks, ran, finished = self._recording_tasks(range(3), fail=(0,), error=_Halt)
+        with pytest.raises(_Halt, match="boom-0"):
+            executor.run("t", tasks)
+        assert sorted(finished) == [1, 2]
+        assert not self._started_alive(ran)
+
+    def test_faults_run_every_task_on_the_calling_thread_in_node_order(self):
+        cluster = tiny_cluster(num_nodes=3)
+        FaultInjector(seed=1).attach(cluster)
+        executor = StageExecutor(cluster)
+        tasks, ran, finished = self._recording_tasks([2, 0, 1])
+        assert executor.run("t", tasks) == {0: 0, 1: 10, 2: 20}
+        assert not executor.last_parallel
+        assert finished == [0, 1, 2]
+        assert all(thread is threading.current_thread() for thread in ran.values())
 
 
 class TestBroadcastBuildOnce:
