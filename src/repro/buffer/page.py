@@ -88,7 +88,7 @@ class Page:
         total = len(records) * nbytes_each
         if self.sealed:
             raise ValueError(f"page {self.page_id} is sealed")
-        if total > self.free_bytes:
+        if total > self.size - self.used_bytes:
             raise ValueError(
                 f"{total} bytes do not fit in page {self.page_id} "
                 f"({self.free_bytes} bytes free)"

@@ -10,6 +10,7 @@ worker, their buffer-pool placement, and their on-disk images.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import typing
 
@@ -495,13 +496,21 @@ class LocalitySet:
 
         return make_page_iterators(self, num_threads)
 
-    def scan_records(self, workers: int = 1):
-        """Convenience full scan yielding every record in the set."""
+    def scan_records(self, workers: int = 1) -> "typing.Iterator":
+        """Convenience full scan: an iterator over every record in the set.
+
+        Records stream straight from each pinned page's list; the scan
+        attaches its readers at the first ``next()``.
+        """
+        return itertools.chain.from_iterable(self._scan_pages(workers))
+
+    def _scan_pages(self, workers: int):
+        """Each page's records in scan order, the page pinned meanwhile."""
         iterators = self.get_page_iterators(workers)
         try:
             for iterator in iterators:
                 for page in iterator:
-                    yield from page.records
+                    yield page.records
         finally:
             # An abandoned scan closes the iterators it never reached.
             for iterator in iterators:

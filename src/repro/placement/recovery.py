@@ -43,8 +43,8 @@ def _lost_test(
     lost_ids: "set | None",
     object_id_fn,
 ):
-    """Page predicate: for each record, was its copy in ``target`` on the
-    failed node?  Returns one flag per record of the page."""
+    """Page filter: the ``(object id, record)`` pairs of a page's records
+    whose copy in ``target`` was on the failed node, in page order."""
     partitioner = target.partitioner
     if partitioner is not None:
         node_ids = sorted(target.shards)
@@ -54,8 +54,12 @@ def _lost_test(
             if node_ids[partition % num_nodes] == failed_node
         }
 
-        def by_partition(records: list) -> "list[bool]":
-            return [p in lost_partitions for p in partitioner.partition_many(records)]
+        def by_partition(records: list) -> "list[tuple]":
+            return [
+                (object_id_fn(record), record)
+                for record, p in zip(records, partitioner.partition_many(records))
+                if p in lost_partitions
+            ]
 
         return by_partition
     # Randomly dispatched replica: fall back to the lost-id set.
@@ -64,10 +68,16 @@ def _lost_test(
 
 
 def _ids_in(ids: set, object_id_fn):
-    """Page predicate: for each record, is its object id in ``ids``?"""
+    """Page filter: the ``(object id, record)`` pairs of a page's records
+    whose object id is in ``ids``, in page order; each record's id is
+    computed once."""
 
-    def by_id(records: list) -> "list[bool]":
-        return [object_id in ids for object_id in map(object_id_fn, records)]
+    def by_id(records: list) -> "list[tuple]":
+        return [
+            (object_id, record)
+            for object_id, record in zip(map(object_id_fn, records), records)
+            if object_id in ids
+        ]
 
     return by_id
 
@@ -159,7 +169,7 @@ def _recover_replica(
     recovered_ids: set = set()
     with ShardWriters(target, survivors, workers) as writers:
 
-        def copy_lost(source: "LocalitySet", is_lost) -> None:
+        def copy_lost(source: "LocalitySet", lost_in) -> None:
             for node_id in sorted(source.shards):
                 if node_id == failed_node:
                     continue
@@ -172,11 +182,7 @@ def _recover_replica(
                             len(page.records), workers=workers, factor=2.0
                         )
                         batches: list[list] = [[] for _ in survivors]
-                        records = page.records
-                        for record, lost in zip(records, is_lost(records)):
-                            if not lost:
-                                continue
-                            object_id = object_id_fn(record)
+                        for object_id, record in lost_in(page.records):
                             if object_id in recovered_ids:
                                 continue
                             recovered_ids.add(object_id)

@@ -463,11 +463,19 @@ class VirtualHashBuffer:
             yield from merged.items()
 
     def __len__(self) -> int:
+        """Entries held: the live tables' keys plus every spilled page's
+        object count (kept when the page is evicted).
+
+        A key can sit in a live table and in several spills, so while any
+        partial result is spilled this is an upper bound on the distinct
+        keys; with nothing spilled (after :meth:`finalize`) it is exact.
+        Counting reads no page and charges no simulated time.
+        """
         total = 0
         for root in self.roots:
             for part in root.live_pages():
                 total += len(part.table)
-            total += sum(len(p.records) for p in root.spilled_pages)
+            total += sum(page.num_objects for page in root.spilled_pages)
         return total
 
     def release(self) -> None:

@@ -26,6 +26,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guards
 class _BigPage:
     """A pinned buffer-pool page being carved into small pages."""
 
+    __slots__ = ("page", "carved", "outstanding", "exhausted")
+
     def __init__(self, page: Page) -> None:
         self.page = page
         self.carved = 0
@@ -39,27 +41,19 @@ class _BigPage:
 
 
 class SmallPage:
-    """A writer-private byte budget inside one big page."""
+    """A writer-private byte budget inside one big page.
+
+    ``used`` counts the bytes its writer has settled into the big page;
+    the writer's :class:`VirtualShuffleBuffer` keeps it within ``budget``.
+    """
+
+    __slots__ = ("big", "budget", "used", "closed")
 
     def __init__(self, big: _BigPage, budget: int) -> None:
         self.big = big
         self.budget = budget
         self.used = 0
         self.closed = False
-
-    @property
-    def free_bytes(self) -> int:
-        return self.budget - self.used
-
-    def extend(self, records: list, nbytes_each: int) -> None:
-        """Bulk-append same-size records that are known to fit."""
-        total = len(records) * nbytes_each
-        if self.closed:
-            raise ValueError("small page already finished")
-        if total > self.free_bytes:
-            raise ValueError(f"{total} bytes do not fit this small page")
-        self.big.page.extend(records, nbytes_each)
-        self.used += total
 
     def finish(self, shard: "LocalShard") -> None:
         if not self.closed:
@@ -110,12 +104,13 @@ class VirtualShuffleBuffer:
     writer's current small page — exactly the paper's abstraction.  No one
     else reads that small page until it is finished, so the buffer
     write-combines: :meth:`add_object` stages same-size records in a
-    private run, and the run is *settled* into the small page, with one
-    ``records`` charge, when the page fills, the record size changes, or
-    the page is flushed.  A run of ``n`` records costs exactly the integer
-    ticks of ``n`` per-record charges.  When the writer is remote from the
-    partition's home node, each filled small page charges one network
-    transfer.
+    private run, and the run is *settled* into the big page, with one
+    ``Page.extend`` and one clock charge of exactly the integer ticks of
+    ``n`` per-record charges, when the small page fills, the record size
+    changes, or the writer closes.  A full small page *rolls* in the same
+    pass: settle, the ``mid-shuffle`` fault point (only when the home node
+    has an injector), one network transfer home when the writer is remote,
+    a ``shuffle.flush_small`` instant, finish, and carve the next.
     """
 
     def __init__(
@@ -130,60 +125,71 @@ class VirtualShuffleBuffer:
         self.worker_id = worker_id
         self.partition_id = partition_id
         self._object_bytes = allocator.shard.dataset.object_bytes
-        self._cpu_node = worker_node or allocator.shard.node
+        self._home = allocator.shard.node
+        self._remote = worker_node is not None and worker_node is not self._home
+        self._cpu = (worker_node or self._home).cpu
         self._small: SmallPage | None = None
         self._run: list = []
+        # The run's record size and the ticks one such record costs.
         self._run_bytes = 0
+        self._run_ticks = 0
         # How many more records of ``_run_bytes`` fit the current small page.
         self._room = 0
 
-    def _settle(self) -> None:
-        """Append the staged run to the small page and charge it once."""
+    def _settle(self, small: SmallPage) -> None:
+        """Append the staged (non-empty) run to the big page and charge it
+        once; the run list is cleared for reuse."""
         run = self._run
-        if run:
-            self._small.extend(run, self._run_bytes)
-            self._cpu_node.cpu.records(len(run), self._run_bytes)
-            self._run = []
+        count = len(run)
+        small.big.page.extend(run, self._run_bytes)
+        small.used += count * self._run_bytes
+        self._cpu.clock.advance_ticks(count * self._run_ticks)
+        run.clear()
 
-    def _flush_small_page(self) -> None:
-        self._settle()
-        self._room = 0
-        if self._small is None:
-            return
-        home_node = self.allocator.shard.node
-        fire_point(home_node, "mid-shuffle")
-        remote = self.worker_node is not None and self.worker_node is not home_node
-        if remote:
+    def _retire(self) -> None:
+        """Hand the settled current small page home and finish it."""
+        small = self._small
+        if self._home.fault_injector is not None:
+            fire_point(self._home, "mid-shuffle")
+        if self._remote:
             self.worker_node.network.transfer(
-                self._small.used, num_messages=1, peer=home_node.network
+                small.used, num_messages=1, peer=self._home.network
             )
-        tracer = home_node.tracer
+        tracer = self._home.tracer
         if tracer is not None:
             tracer.instant("shuffle.flush_small", "service",
                            set=self.allocator.shard.dataset.name,
                            partition=self.partition_id, worker=self.worker_id,
-                           nbytes=self._small.used, remote=remote)
-        self._small.finish(self.allocator.shard)
+                           nbytes=small.used, remote=self._remote)
+        small.finish(self.allocator.shard)
         self._small = None
 
     def _start_run(self, nbytes: int) -> None:
-        """Settle the current run and make room for ``nbytes`` records,
-        rolling to a fresh small page if one no longer fits."""
+        """Settle the current run and open one of ``nbytes`` records,
+        rolling to a fresh small page in the same pass if one no longer
+        fits.  A fault at the roll leaves the run settled and the full
+        small page current and unfinished."""
         if self.allocator.closed:
             raise ValueError("shuffle partition already finished writing")
-        self._settle()
-        if self._small is None or self._small.free_bytes < nbytes:
-            self._flush_small_page()
-            self._small = self.allocator.get_small_page()
-            if self._small.free_bytes < nbytes:
+        self._room = 0
+        small = self._small
+        if self._run:
+            self._settle(small)
+        if small is None or small.budget - small.used < nbytes:
+            if small is not None:
+                self._retire()
+            small = self._small = self.allocator.get_small_page()
+            if small.budget < nbytes:
                 raise ValueError(f"{nbytes} bytes do not fit this small page")
+        self._run_ticks = self._cpu.record_ticks(nbytes)
         self._run_bytes = nbytes
         # Zero-byte records always fit; max() only avoids dividing by zero.
-        self._room = self._small.free_bytes // max(nbytes, 1)
+        self._room = (small.budget - small.used) // max(nbytes, 1)
 
     def add_object(self, record: object, nbytes: int | None = None) -> None:
-        """Stage one record; ``ValueError`` if it is larger than a small
-        page or the shuffle has finished writing (nothing is staged)."""
+        """Stage one record; ``ValueError`` if its size is negative or
+        larger than a small page, or the shuffle has finished writing
+        (nothing is staged)."""
         if nbytes is None:
             nbytes = self._object_bytes
         if self._room <= 0 or nbytes != self._run_bytes:
@@ -192,7 +198,12 @@ class VirtualShuffleBuffer:
         self._room -= 1
 
     def close(self) -> None:
-        self._flush_small_page()
+        """Settle the run and retire the current small page, if any."""
+        self._room = 0
+        if self._small is not None:
+            if self._run:
+                self._settle(self._small)
+            self._retire()
 
 
 class ShuffleService:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import MachineProfile, PangeaCluster
+from repro import FaultInjector, MachineProfile, PangeaCluster
+from repro.services.sequential import NodeFailedError
 from repro.sim.devices import MB
 
 
@@ -53,3 +54,16 @@ def flip_bit(handle, page_id: int, bit: int) -> None:
     image = handle._images[page_id]
     flipped = int.from_bytes(image, "little") ^ (1 << bit)
     handle._images[page_id] = flipped.to_bytes(len(image), "little")
+
+
+class AbortingInjector(FaultInjector):
+    """A fault injector whose scheduled crash also raises
+    :class:`NodeFailedError` to the code at the fault point, as a crash
+    of the caller's own process would abort it there."""
+
+    def fire(self, point, node, nbytes=0):
+        extra = super().fire(point, node, nbytes)
+        if node.failed:
+            raise NodeFailedError(f"node {node.node_id} crashed at {point}",
+                                  node_id=node.node_id)
+        return extra

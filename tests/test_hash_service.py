@@ -172,6 +172,7 @@ class TestGrowthAndSpill:
         for rep in range(3):
             buffer.insert_many(keys, [[(k, rep)] for k in keys], nbytes=68)
         assert buffer.stats.spills > 0
+        assert len(buffer) >= 30000
         for page in held:
             other.shards[0].unpin_page(page)
         buffer.finalize()
@@ -184,6 +185,25 @@ class TestGrowthAndSpill:
         buffer.dataset.end_lifetime()
         cluster.drop_set("h")
         assert "h" not in cluster.manager.set_names()
+
+    def test_len_never_undercounts_evicted_spills(self):
+        # Two passes over 60,000 keys through a 4 MB pool leave spilled
+        # partials that are evicted (no resident records) and keys that
+        # live in a table and in spills at once.
+        cluster = make_cluster(pool=4 * MB)
+        buffer = make_buffer(cluster, roots=2, page_size=1 * MB,
+                             combiner=lambda a, b: a + b)
+        keys = list(range(60000))
+        for _ in range(2):
+            buffer.insert_many(keys, [1] * 60000, nbytes=8)
+        spilled = [page for root in buffer.roots for page in root.spilled_pages]
+        assert spilled and not any(page.in_memory for page in spilled)
+        ticks = cluster.nodes[0].clock.ticks
+        reloads = buffer.stats.reloads
+        assert len(buffer) >= 60000
+        assert cluster.nodes[0].clock.ticks == ticks
+        assert buffer.stats.reloads == reloads
+        assert dict(buffer.items()) == {k: 2 for k in keys}
 
     def test_failed_construction_unpins_its_pages(self):
         # The pool holds three 1 MB pages, so the fourth of eight roots

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from collections import Counter
 from functools import partial
 from unittest.mock import patch
@@ -367,12 +368,17 @@ def _odd_profile(pool_bytes: int = 64 * MB) -> MachineProfile:
 
 def _per_record_add(buffer, record, nbytes=None) -> None:
     """The per-record reference write: roll the small page when the record
-    does not fit, then one append and one ``records(1, nbytes)`` charge."""
+    does not fit its budget, then one ``Page.append`` and one
+    ``records(1, nbytes)`` charge."""
     nbytes = buffer.allocator.shard.dataset.object_bytes if nbytes is None else nbytes
-    if buffer._small is None or buffer._small.free_bytes < nbytes:
-        buffer._flush_small_page()
-        buffer._small = buffer.allocator.get_small_page()
-    buffer._small.extend([record], nbytes)
+    small = buffer._small
+    if small is None or small.budget - small.used < nbytes:
+        buffer.close()
+        small = buffer._small = buffer.allocator.get_small_page()
+        if small.budget < nbytes:
+            raise ValueError(f"{nbytes} bytes do not fit this small page")
+    small.big.page.append(record, nbytes)
+    small.used += nbytes
     (buffer.worker_node or buffer.allocator.shard.node).cpu.records(1, nbytes)
 
 
@@ -416,12 +422,27 @@ def _partition_records(service) -> list:
     ]
 
 
-def _shuffle_run(writes, writer_nodes, staged):
+def _workload_shuffle():
+    """The e2ebench shuffle-spill shape at small scale: four partitions
+    over two nodes, 2 KB small pages that hold about 20 records of the
+    default 100 bytes, 8 KB big pages and a 160 KB pool per node.  Each
+    node homes two partitions, so at most ten big pages are pinned (four
+    writers' stale small pages plus the allocator's current page per
+    partition) and a few thousand records spill."""
+    cluster = PangeaCluster(num_nodes=2, profile=_odd_profile(160 * KB))
+    service = ShuffleService(
+        cluster, "shuf", num_partitions=4, page_size=8 * KB,
+        small_page_size=2 * KB, object_bytes=100,
+    )
+    return cluster, service
+
+
+def _shuffle_run(writes, writer_nodes, staged, make=_spilling_shuffle):
     """Replay ``writes`` — (writer, nbytes, partitions, through write_batch)
     chunks — through the service (``staged``) or the per-record oracle.
     Returns the outcome, each (writer, partition)'s records in write order,
     and each partition's stored records."""
-    cluster, service = _spilling_shuffle()
+    cluster, service = make()
     written: dict = {}
     seq = 0
     for writer, nbytes, partitions, batched in writes:
@@ -480,6 +501,70 @@ def test_staged_shuffle_writes_match_a_per_record_oracle(writes, writer_nodes):
             assert [r for r in records if r[0] == writer] == written.get(
                 (writer, partition), []
             )
+
+
+def _workload_writes(seed: int, size_runs: list, batched: bool, per_writer: int = 1000):
+    """Four writers taking turns, each turn one run of ``size_runs`` (cycled,
+    offset per writer, so sizes change mid-run in every buffer) over random
+    partitions, until each writer has written ``per_writer`` records."""
+    rng = random.Random(seed)
+    writes, left, turn = [], [per_writer] * 4, 0
+    while any(left):
+        for writer in range(4):
+            count, nbytes = size_runs[(turn + writer) % len(size_runs)]
+            count = min(count, left[writer])
+            left[writer] -= count
+            if count:
+                partitions = [rng.randrange(4) for _ in range(count)]
+                writes.append((writer, nbytes, partitions, batched))
+        turn += 1
+    return writes
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.sampled_from([None, 0, 1]), min_size=4, max_size=4),
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=80),
+                  st.sampled_from([None, 96, 100, 128])),
+        min_size=1, max_size=6,
+    ),
+    st.booleans(),
+)
+def test_workload_shaped_shuffle_writes_match_a_per_record_oracle(
+    seed, writer_nodes, size_runs, batched
+):
+    """4 writers x 4 partitions with about 20 records per small page, local,
+    remote and absent worker nodes, and record sizes that change mid-run:
+    the staged buffers leave every tick, byte, eviction and page where the
+    per-record oracle leaves them, and each (writer, partition)'s records
+    read back in write order."""
+    writes = _workload_writes(seed, size_runs, batched)
+    staged, written, stored = _shuffle_run(writes, writer_nodes, True, _workload_shuffle)
+    oracle, _, oracle_stored = _shuffle_run(writes, writer_nodes, False, _workload_shuffle)
+    assert staged == oracle
+    for partition, records in enumerate(stored):
+        assert Counter(records) == Counter(oracle_stored[partition])
+        for writer in range(4):
+            assert [r for r in records if r[0] == writer] == written.get(
+                (writer, partition), []
+            )
+
+
+def test_workload_shaped_shuffle_spills_and_rolls_every_20_records():
+    """The workload-shaped case really spills, and a default-size run fills
+    a small page with 20 records."""
+    writes = _workload_writes(7, [(60, None)], batched=False)
+    cluster, service = _workload_shuffle()
+    buffer = service.buffer_for(0, 0, worker_node=cluster.nodes[1])
+    for i in range(20):
+        buffer.add_object(("probe", i))
+    first = buffer._small
+    buffer.add_object(("probe", 20))
+    assert buffer._small is not first and first.closed and first.used == 2000
+    staged, _, _ = _shuffle_run(writes, [0, 1, None, 1], True, _workload_shuffle)
+    assert sum(staged["evictions"]) > 0
 
 
 def test_shuffle_oracle_pool_spills():

@@ -220,3 +220,58 @@ class TestRecoveryEdgeCases:
 
         assert surviving_ids(src, failed_node) == set(range(1600))
         assert surviving_ids(rep_a, failed_node) == set(range(1600))
+
+
+class TestLostRecordFilters:
+    """Recovery's page filters name each lost record with its object id,
+    computing every scanned record's id at most once."""
+
+    @staticmethod
+    def counting_id_fn():
+        calls = []
+
+        def object_id(record):
+            calls.append(record["id"])
+            return record["id"]
+
+        return object_id, calls
+
+    def test_by_partition_filter_computes_only_lost_ids(self):
+        from repro.placement.recovery import _lost_test
+
+        cluster, group, _src, rep_a, _rep_b = build()
+        object_id, calls = self.counting_id_fn()
+        records = [{"a": i, "b": i, "id": i} for i in range(64)]
+        lost = _lost_test(rep_a, 1, None, object_id)(records)
+        partitions = rep_a.partitioner.partition_many(records)
+        node_ids = sorted(rep_a.shards)
+        want = [i for i, p in enumerate(partitions) if node_ids[p % len(node_ids)] == 1]
+        assert want and lost == [(i, records[i]) for i in want]
+        assert calls == want
+
+    def test_by_id_recovery_computes_each_id_once_per_pass(self):
+        """Both members randomly dispatched (the by-id path both ways), no
+        colliding objects: the id function runs once per record of each
+        pass that reads it, not again for the records found lost."""
+        cluster = PangeaCluster(
+            num_nodes=3, profile=MachineProfile.tiny(pool_bytes=32 * MB)
+        )
+        rep_a = cluster.create_set("ra", page_size=1 * MB, object_bytes=100)
+        rep_a.add_data([{"id": i} for i in range(300)])
+        rep_b = cluster.create_set("rb", page_size=1 * MB, object_bytes=100)
+        # Rotated by one, so no object has both copies on one node.
+        rep_b.add_data([{"id": (i + 1) % 300} for i in range(300)])
+        group = register_replica(rep_a, rep_b, object_id_fn=lambda r: r["id"])
+        assert group.colliding_set is None
+        object_id, calls = self.counting_id_fn()
+        group.object_id_fn = object_id
+        report = recover_node(cluster, group, failed_node=1)
+        (_, into_a), (_, into_b) = report.replicas_recovered
+        # Each member is read whole once (its lost ids on the failed node,
+        # its survivors as the other's source); rep_a is read after it
+        # took its recovered records; each recovered page is indexed once.
+        assert len(calls) == 300 + 300 + into_a + (into_a + into_b)
+        for member in (rep_a, rep_b):
+            ids = [record["id"] for node_id, shard in member.shards.items()
+                   if node_id != 1 for page in shard.pages for record in page.records]
+            assert sorted(ids) == list(range(300))

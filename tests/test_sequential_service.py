@@ -20,6 +20,8 @@ from repro.services.sequential import (
 )
 from repro.sim.devices import MB
 
+from .conftest import AbortingInjector
+
 
 @pytest.fixture
 def cluster():
@@ -258,6 +260,42 @@ class TestAbandonedScan:
         next(records)
         del records
         self.assert_released(data)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_scan_records_attaches_at_its_first_record(self, data, workers):
+        records = data.scan_records(workers=workers)
+        assert iter(records) is records
+        assert data.active_readers == 0
+        self.assert_released(data)
+        assert next(records) == 0
+        assert data.active_readers == 1
+        assert sum(p.pinned for p in data.shards[0].pages) == 1
+        assert sorted([0, *records]) == list(range(12))
+        self.assert_released(data)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_exception_in_a_scan_records_consumer(self, data, workers):
+        seen = []
+        with pytest.raises(RuntimeError):
+            for record in data.scan_records(workers=workers):
+                seen.append(record)
+                if len(seen) == 5:
+                    raise RuntimeError("consumer failed")
+        assert seen == [0, 1, 2, 3, 4]
+        self.assert_released(data)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_mid_scan_crash_fails_scan_records(self, cluster, data, workers):
+        injector = AbortingInjector(seed=1).attach(cluster)
+        injector.schedule_crash("mid-scan", node_id=0, at_count=2)
+        with pytest.raises(NodeFailedError):
+            list(data.scan_records(workers=workers))
+        self.assert_released(data)
+
+    def test_scan_records_of_an_empty_set(self, cluster):
+        empty = cluster.create_set("e", page_size=1 * MB, nodes=[0])
+        assert list(empty.scan_records(workers=3)) == []
+        self.assert_released(empty)
 
     def test_exception_in_the_loop_body(self, data):
         with pytest.raises(RuntimeError):

@@ -3,8 +3,11 @@
 import pytest
 
 from repro import CurrentOperation, MachineProfile, PangeaCluster, WritingPattern
+from repro.services.sequential import NodeFailedError
 from repro.services.shuffle import ShuffleService, SmallPageAllocator
 from repro.sim.devices import KB, MB
+
+from .conftest import AbortingInjector
 
 
 @pytest.fixture
@@ -189,3 +192,62 @@ class TestWritesAfterFinish:
         assert [node.network.stats.bytes_sent for node in cluster.nodes] == sent
         assert [list(ds.scan_records()) for ds in service.partition_sets] == [["a"], ["b"]]
         service.drop()
+
+
+def test_negative_record_size_raises_and_stages_nothing(cluster):
+    service = make_service(cluster, partitions=1)
+    buffer = service.buffer_for(0, 0, worker_node=cluster.nodes[0])
+    buffer.add_object("a")
+    with pytest.raises(ValueError):
+        buffer.add_object("bad", -100)
+    buffer.add_object("b")
+    service.finish_writing()
+    page = service.partition_set(0).shards[0].pages[0]
+    assert page.records == ["a", "b"]
+    assert page.used_bytes == 200
+
+
+class TestCrashAtRoll:
+    """A ``mid-shuffle`` crash as a writer rolls its full small page."""
+
+    @staticmethod
+    def crash_at_roll(cluster, writer):
+        """Fill one 2 KB small page with 20 records of 100 bytes, then
+        crash the home node as the 21st record rolls it."""
+        service = ShuffleService(
+            cluster, "sh", num_partitions=2, page_size=1 * MB,
+            small_page_size=2 * KB, object_bytes=100,
+        )
+        AbortingInjector(seed=0).attach(cluster).schedule_crash(
+            "mid-shuffle", node_id=0, at_count=1
+        )
+        buffer = service.buffer_for(0, 0, worker_node=writer)
+        for i in range(20):
+            buffer.add_object(i)
+        full = buffer._small
+        with pytest.raises(NodeFailedError):
+            buffer.add_object(20)
+        return service, buffer, full
+
+    @pytest.mark.parametrize("local", [False, True], ids=["remote", "local"])
+    def test_crash_leaves_the_run_settled_and_the_page_unfinished(self, cluster, local):
+        service, buffer, full = self.crash_at_roll(cluster, cluster.nodes[0 if local else 1])
+        page = service.partition_set(0).shards[0].pages[0]
+        assert page.records == list(range(20))
+        assert page.used_bytes == full.used == 2000
+        assert buffer._run == [] and buffer._room == 0
+        # The small page is still the writer's, unfinished, and nothing
+        # went over the network.
+        assert buffer._small is full and not full.closed
+        assert full.big.outstanding == 1
+        assert cluster.nodes[1].network.stats.bytes_sent == 0
+        assert cluster.nodes[0].network.stats.bytes_received == 0
+
+    def test_crash_charges_the_settled_run_exactly(self, cluster):
+        """The settle before the fault point charges the remote writer's
+        clock exactly what twenty per-record charges would."""
+        reference = PangeaCluster(num_nodes=2, profile=MachineProfile.tiny(pool_bytes=16 * MB))
+        for _ in range(20):
+            reference.nodes[1].cpu.records(1, 100)
+        self.crash_at_roll(cluster, cluster.nodes[1])
+        assert cluster.nodes[1].clock.ticks == reference.nodes[1].clock.ticks
